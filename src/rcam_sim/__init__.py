@@ -1,36 +1,35 @@
 """Functional and timing simulator for RAM-based binary CAM architectures."""
 
 from ._version import __version__
-from .bus import (BusModel, IDEAL_BUS, calibrated_bus, discrete_schedule,
+from .bus import (BusModel, IDEAL_BUS, calibrated_bus, demand_schedule,
                   ideal_bus, stream_schedule, update_io_efficiency,
                   update_throughput_gbps)
 from .calibration import CalibrationResult, calibrate
 from .engines import S1Engine, S2Engine, S3Engine, UpdateTrace, build_engine
-from .erase_store import (CentralEraseRam, HPartEraseRam, PerUnitEraseBank,
-                          PerUnitEraseRam)
+from .erase_store import EraseStore
 from .experiment import (EfficiencyReport, ExperimentConfig, emit_report,
                          run_experiment, run_sweep)
 from .geometry import (CamGeometry, GeometryError, geometry_for,
                        map_word_index, word_index_of)
 from .oracle import EquivalenceResult, ReferenceCam, equivalence_check
 from .payload import generate_payload, load_payload, save_payload
-from .rcu import RcamArray, RcuState, assemble_match, extract_match_addresses
+from .rcu import RcamArray, extract_match_addresses
 from .resources import ResourceReport, m10k_report, memory_saving
 
 __all__ = [
     "__version__",
     "BusModel", "IDEAL_BUS", "calibrated_bus", "ideal_bus",
-    "stream_schedule", "discrete_schedule",
+    "stream_schedule", "demand_schedule",
     "update_io_efficiency", "update_throughput_gbps",
     "CalibrationResult", "calibrate",
     "S1Engine", "S2Engine", "S3Engine", "UpdateTrace", "build_engine",
-    "CentralEraseRam", "HPartEraseRam", "PerUnitEraseBank", "PerUnitEraseRam",
+    "EraseStore",
     "EfficiencyReport", "ExperimentConfig", "emit_report",
     "run_experiment", "run_sweep",
     "CamGeometry", "GeometryError", "geometry_for",
     "map_word_index", "word_index_of",
     "EquivalenceResult", "ReferenceCam", "equivalence_check",
     "generate_payload", "load_payload", "save_payload",
-    "RcamArray", "RcuState", "assemble_match", "extract_match_addresses",
+    "RcamArray", "extract_match_addresses",
     "ResourceReport", "m10k_report", "memory_saving",
 ]

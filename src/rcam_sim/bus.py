@@ -1,18 +1,22 @@
 """Parametric external-memory bus timing.
 
-Two access patterns are distinguished:
+One schedule per access pattern:
 
 * streaming -- long sequential bursts (s2/s3).  A fraction ``stream_efficiency``
   (eta) of the peak beat rate is achieved; the resulting stall cycles are
-  spread evenly through the transfer.
-* discrete -- on-demand single-burst reads (s1).  Each burst pays one transfer
-  cycle plus ``burst_overhead_cycles`` of fixed latency (precharge, row
-  activation and the like, folded into one knob).
+  spread evenly through the transfer (:func:`stream_schedule`).
+* on demand -- single-burst reads issued as the consumer needs them (s1).
+  Each burst pays one transfer cycle plus ``burst_overhead_cycles`` of fixed
+  latency (precharge, row activation and the like, folded into one knob)
+  (:func:`demand_schedule`).
 
-Fractional overheads are realized deterministically with an error
-accumulator, keeping schedules reproducible.  Ideal mode pins eta = 1 and
-overhead = 0, which makes the stream schedule the identity and a discrete
-access cost exactly one cycle.
+Both knobs are quantised once, when a :class:`BusModel` is built: eta to
+1/``ETA_RESOLUTION`` and the overhead to 1/``OVERHEAD_RESOLUTION`` (the
+calibration grid steps).  The schedules work in exact integer arithmetic at
+those resolutions, fractional overheads are realized deterministically with
+an error accumulator, and :meth:`BusModel.describe` reports the values that
+were simulated.  Ideal mode pins eta = 1 and overhead = 0, which makes the
+stream schedule the identity and an on-demand access cost exactly one cycle.
 
 Throughput and I/O efficiency are always derived from simulated cycle
 counts, never stored independently:
@@ -31,6 +35,15 @@ import numpy as np
 
 class BusError(ValueError):
     """Raised for invalid bus configurations or request patterns."""
+
+
+# Knob resolutions, shared by BusModel, stream_schedule and StallSequence.
+ETA_RESOLUTION = 1000
+OVERHEAD_RESOLUTION = 100
+
+
+def _quantise(value: float, resolution: int) -> float:
+    return round(value * resolution) / resolution
 
 
 @dataclass(frozen=True)
@@ -55,6 +68,14 @@ class BusModel:
         if self.mode == "ideal" and (self.stream_efficiency != 1.0
                                      or self.burst_overhead_cycles != 0.0):
             raise BusError("ideal mode implies eta = 1 and zero burst overhead")
+        eta = _quantise(self.stream_efficiency, ETA_RESOLUTION)
+        if eta == 0.0:
+            raise BusError(
+                f"stream_efficiency {self.stream_efficiency} rounds to 0 at "
+                f"the 1/{ETA_RESOLUTION} resolution")
+        object.__setattr__(self, "stream_efficiency", eta)
+        object.__setattr__(self, "burst_overhead_cycles", _quantise(
+            self.burst_overhead_cycles, OVERHEAD_RESOLUTION))
 
     @property
     def theoretical_bandwidth_gbps(self) -> float:
@@ -88,23 +109,21 @@ def ideal_bus(bus_width_b: int = 256, clock_mhz: float = 100.0) -> BusModel:
 class StallSequence:
     """Deterministic integer realization of a fractional per-burst stall.
 
-    The mean is interpreted at centesimal resolution (the calibration grid
-    step) and accumulated in exact integer arithmetic, so the realized sum
-    over n bursts is floor(n * mean) regardless of n.
+    The mean is interpreted at ``OVERHEAD_RESOLUTION`` and accumulated in
+    exact integer arithmetic, so the realized sum over n bursts is
+    floor(n * mean) regardless of n.
     """
-
-    RESOLUTION = 100
 
     def __init__(self, mean_cycles: float):
         if mean_cycles < 0:
             raise BusError("stall mean must be >= 0")
         self.mean = mean_cycles
-        self._num = round(mean_cycles * self.RESOLUTION)
+        self._num = round(mean_cycles * OVERHEAD_RESOLUTION)
         self._acc = 0
 
     def __next__(self) -> int:
         self._acc += self._num
-        stall, self._acc = divmod(self._acc, self.RESOLUTION)
+        stall, self._acc = divmod(self._acc, OVERHEAD_RESOLUTION)
         return stall
 
     def take(self, count: int) -> np.ndarray:
@@ -118,37 +137,43 @@ def stream_schedule(bus: BusModel, beat_count: int) -> np.ndarray:
     Beat b becomes available at ceil((b+1)/eta) - 1, the first cycle by
     whose end b+1 beats' worth of transfer credit has accrued; the transfer
     spans ceil(beat_count/eta) cycles with the stalls distributed evenly.
-    eta is interpreted at millesimal resolution (the calibration grid step)
-    and the schedule computed in exact integer arithmetic.  Ideal mode
-    yields cycles 0..beat_count-1.
+    The schedule is computed in exact integer arithmetic at
+    ``ETA_RESOLUTION``.  Ideal mode yields cycles 0..beat_count-1.
     """
     if beat_count <= 0:
         raise BusError("beat_count must be positive")
-    num = round(bus.stream_efficiency * 1000)
-    if num >= 1000:
+    num = round(bus.stream_efficiency * ETA_RESOLUTION)
+    if num >= ETA_RESOLUTION:
         return np.arange(beat_count, dtype=np.int64)
-    credits = np.arange(1, beat_count + 1, dtype=np.int64) * 1000
+    credits = np.arange(1, beat_count + 1, dtype=np.int64) * ETA_RESOLUTION
     return -(-credits // num) - 1  # ceil division
 
 
-def discrete_schedule(bus: BusModel, request_cycles) -> np.ndarray:
-    """Availability cycle of each discretely requested burst.
+def demand_schedule(bus: BusModel, beat_count: int, consume_cycles: int,
+                    prefetch: bool = False) -> np.ndarray:
+    """First consumption cycle of each beat fetched on demand.
 
-    availability(i) = max(request(i), previous availability) + 1 + stall(i),
-    with stall(i) the deterministic realization of the burst overhead.
+    The consumer spends ``consume_cycles`` on every beat.  Without prefetch
+    the next burst is requested one cycle before the current beat is used
+    up, so it lands just as the consumer needs it plus that burst's stall:
+    an ideal bus wastes no cycle.  With ``prefetch`` the request goes out
+    when consumption of the current beat starts, hiding the burst latency
+    behind the consumption.  Stalls are the deterministic realization of
+    the burst overhead (:class:`StallSequence`).
     """
-    requests = np.asarray(request_cycles, dtype=np.int64)
-    if requests.ndim != 1 or requests.size == 0:
-        raise BusError("request_cycles must be a non-empty 1-d sequence")
-    if np.any(np.diff(requests) <= 0):
-        raise BusError("request cycles must be strictly increasing")
-    stalls = StallSequence(bus.burst_overhead_cycles)
-    out = np.empty(requests.size, dtype=np.int64)
-    prev = np.iinfo(np.int64).min
-    for i, req in enumerate(requests):
-        prev = max(int(req), prev) + 1 + next(stalls)
-        out[i] = prev
-    return out
+    if beat_count <= 0:
+        raise BusError("beat_count must be positive")
+    if consume_cycles < 1:
+        raise BusError("consume_cycles must be >= 1")
+    stalls = StallSequence(bus.burst_overhead_cycles).take(beat_count)
+    if prefetch:
+        steps = np.maximum(consume_cycles, 1 + stalls[1:])
+    else:
+        steps = consume_cycles + stalls[1:]
+    starts = np.empty(beat_count, dtype=np.int64)
+    starts[0] = stalls[0]
+    starts[1:] = stalls[0] + np.cumsum(steps)
+    return starts
 
 
 def update_throughput_gbps(table_bits: int, total_cycles: int, bus: BusModel) -> float:

@@ -1,18 +1,31 @@
 """Cycle-accurate update engines for the three CAM architectures.
 
-Every engine owns a CAM array plus the matching erase store and produces an
-:class:`UpdateTrace` per full-table update.  Traces carry exact cycle counts,
-phase spans and (optionally) a per-cycle event log; states and schedules are
-computed with vectorized passes that are order-equivalent to the per-cycle
-semantics because each CAM column is touched exactly once per phase.
+The three architectures differ only in *when* things happen.  Each engine's
+``update`` is a pure schedule: three int arrays holding the cycle of every
+bus beat, every erase (per word for s1, per erase-store row for s2/s3) and
+every write (per word for s1, per word group for s2/s3).  One shared
+function, ``_apply_update``, then does what all three share -- the erase
+pass over the old table, the erase-store swap, the optional
+``after_erase`` probe and the write pass -- and builds the
+:class:`UpdateTrace` from the arrays:
+
+* ``total_cycles`` is the last write cycle plus one;
+* the erase and write spans are the extremes of their arrays;
+* a stall is a cycle in [0, total) with neither an erase nor a write;
+* events merge by a stable sort on (cycle, kind rank), the rank being a
+  per-architecture intra-cycle order (``_EVENT_ORDER``).
+
+The erase and write passes are vectorized; they are order-equivalent to the
+per-cycle semantics because each CAM column is touched exactly once per
+phase.
 
 s1 (traditional)
     One word per two cycles: read the per-unit erase RAM and clear the old
     cell, then store the new value in both erase RAM and CAM cell.  Beats are
-    fetched from the bus on demand (discrete access); the next burst request
-    is issued one cycle before the current beat is fully consumed, so an
-    ideal bus gives exactly 2N cycles and a calibrated bus adds only the
-    per-burst overhead.
+    fetched from the bus on demand (``bus.demand_schedule``); the next burst
+    request is issued one cycle before the current beat is fully consumed,
+    so an ideal bus gives exactly 2N cycles and a calibrated bus adds only
+    the per-burst overhead.
 
 s2 (centralized erase RAM, bit-sliced)
     Phase E: each arriving beat is copied into its erase-RAM row while the
@@ -37,9 +50,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bus import IDEAL_BUS, BusModel, StallSequence, stream_schedule
-from .erase_store import CentralEraseRam, HPartEraseRam, PerUnitEraseBank
-from .geometry import RCU_SLOTS, CamGeometry
+from .bus import IDEAL_BUS, BusModel, demand_schedule, stream_schedule
+from .erase_store import EraseStore
+from .geometry import CamGeometry
 from .rcu import RcamArray
 
 
@@ -136,6 +149,7 @@ class _EngineBase:
         self.bus = bus
         self.record_events = record_events
         self.cam = RcamArray(geometry)
+        self.eram = EraseStore(geometry)
         self.search_cycles = 0
         self.updates_completed = 0
 
@@ -171,7 +185,6 @@ class S1Engine(_EngineBase):
     def __init__(self, geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
                  record_events: bool = True, prefetch_one_beat: bool = False):
         super().__init__(geometry, bus, record_events)
-        self.eram = PerUnitEraseBank(geometry)
         # Sensitivity knob: request the next beat when consumption of the
         # current one starts, hiding burst overhead behind the 2*(B/W)-cycle
         # consumption instead of paying it between bursts.
@@ -180,58 +193,16 @@ class S1Engine(_EngineBase):
     def ideal_total_cycles(self) -> int:
         return 2 * self.geometry.depth_n
 
-    def _beat_starts(self) -> tuple[np.ndarray, np.ndarray]:
-        g = self.geometry
-        consume = 2 * g.words_per_bus_beat
-        stalls = StallSequence(self.bus.burst_overhead_cycles).take(g.beat_count)
-        if self.prefetch_one_beat:
-            steps = np.maximum(consume, 1 + stalls[1:])
-        else:
-            steps = consume + stalls[1:]
-        starts = np.empty(g.beat_count, dtype=np.int64)
-        starts[0] = stalls[0]
-        if g.beat_count > 1:
-            starts[1:] = stalls[0] + np.cumsum(steps)
-        return starts, stalls
-
     def update(self, payload, probe: Callable | None = None) -> UpdateTrace:
         g = self.geometry
-        payload = _as_payload(g, payload)
-        starts, stalls = self._beat_starts()
-        consume = 2 * g.words_per_bus_beat
-        total = int(starts[-1]) + consume
-
-        old_words = self.eram.stored_words()
-        self.cam.apply_full_table(old_words, 0)   # erase stage of every word
-        self.eram.store_words(payload)
-        self.cam.apply_full_table(payload, 1)     # write stage of every word
-
-        events = None
-        if self.record_events:
-            events = []
-            wb = g.words_per_bus_beat
-            prev_end = 0
-            for b in range(g.beat_count):
-                s = int(starts[b])
-                events.extend(TraceEvent(c, "stall", None)
-                              for c in range(prev_end, s))
-                events.append(TraceEvent(s, "beat", b))
-                base = b * wb
-                for o in range(wb):
-                    events.append(TraceEvent(s + 2 * o, "erase", base + o))
-                    events.append(TraceEvent(s + 2 * o + 1, "write", base + o))
-                prev_end = s + consume
-            # construction order is already chronological; the beat event
-            # precedes the first erase it feeds
-
-        self.updates_completed += 1
-        return UpdateTrace(
-            architecture="s1", depth_n=g.depth_n, word_width_w=g.word_width_w,
-            total_cycles=total, bus_read_cycles=g.beat_count,
-            stall_cycles=total - self.ideal_total_cycles(),
-            erase_span=(int(starts[0]), total - 2),
-            write_span=(int(starts[0]) + 1, total - 1),
-            events=events)
+        wb = g.words_per_bus_beat
+        starts = demand_schedule(self.bus, g.beat_count, 2 * wb,
+                                 self.prefetch_one_beat)
+        # Word o of a beat is erased 2*o cycles into the beat and written
+        # the cycle after.  Erase and write interleave per word, so no
+        # all-erased state exists for a probe to observe.
+        erases = (starts[:, None] + 2 * np.arange(wb)).ravel()
+        return _apply_update(self, payload, None, starts, erases, erases + 1)
 
     def update_word(self, index: int, value: int) -> UpdateTrace:
         """Incremental single-word update: one erase/write pair (2 cycles)."""
@@ -240,19 +211,12 @@ class S1Engine(_EngineBase):
             raise EngineError(f"word index {index} out of range")
         if not 0 <= value <= g.word_mask:
             raise EngineError(f"value does not fit {g.word_width_w} bits")
-        rcu_row = index // RCU_SLOTS
-        slot = index % RCU_SLOTS
-        events = [] if self.record_events else None
-        for c in range(g.slices):
-            flat = rcu_row * g.slices + c
-            unit = self.eram.unit(flat)
-            old = unit.read(slot)
-            self.cam.cells[flat, old] &= ~np.uint32(1 << slot)
-            unit.swap(slot, (value >> (8 * c)) & 0xFF)
+        self.cam.apply_word(index, int(self.eram.words[index]), 0)
+        self.eram.words[index] = value
         self.cam.apply_word(index, value, 1)
-        if events is not None:
-            events.append(TraceEvent(0, "erase", index))
-            events.append(TraceEvent(1, "write", index))
+        events = None
+        if self.record_events:
+            events = [TraceEvent(0, "erase", index), TraceEvent(1, "write", index)]
         return UpdateTrace(
             architecture="s1", depth_n=g.depth_n, word_width_w=g.word_width_w,
             total_cycles=2, bus_read_cycles=0, stall_cycles=0,
@@ -264,67 +228,23 @@ class S2Engine(_EngineBase):
 
     architecture = "s2"
 
-    def __init__(self, geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
-                 record_events: bool = True):
-        super().__init__(geometry, bus, record_events)
-        self.eram = CentralEraseRam(geometry)
-
     def ideal_total_cycles(self) -> int:
         return 2 * self.geometry.beat_count
 
     def update(self, payload, probe: Callable | None = None) -> UpdateTrace:
-        g = self.geometry
-        payload = _as_payload(g, payload)
-        beats = g.beat_count
+        beats = self.geometry.beat_count
         avail = stream_schedule(self.bus, beats)
-
-        # Phase E: beat r lands in erase-RAM row r while the old row clears
-        # its k words the same cycle (dual-port read-before-write).
-        old_words = self.eram.rows.ravel().copy()
-        self.cam.apply_full_table(old_words, 0)
-        self.eram.rows[:, :] = payload.reshape(beats, g.words_per_bus_beat)
-        if probe is not None:
-            probe("after_erase", self)
-
-        # Phase W: one erase-RAM row per cycle, starting right after the
-        # last erase.
-        write_start = int(avail[-1]) + 1
-        self.cam.apply_full_table(payload, 1)
-        total = write_start + beats
-
-        events = None
-        if self.record_events:
-            events = []
-            prev = -1
-            for r in range(beats):
-                a = int(avail[r])
-                events.extend(TraceEvent(c, "stall", None)
-                              for c in range(prev + 1, a))
-                events.append(TraceEvent(a, "beat", r))
-                events.append(TraceEvent(a, "erase_row", r))
-                prev = a
-            events.extend(TraceEvent(write_start + t, "write_row", t)
-                          for t in range(beats))
-
-        self.updates_completed += 1
-        return UpdateTrace(
-            architecture="s2", depth_n=g.depth_n, word_width_w=g.word_width_w,
-            total_cycles=total, bus_read_cycles=beats,
-            stall_cycles=total - self.ideal_total_cycles(),
-            erase_span=(int(avail[0]), int(avail[-1])),
-            write_span=(write_start, total - 1),
-            events=events)
+        # Phase E: beat r lands in erase-store row r while the old row clears
+        # its k words the same cycle (dual-port read-before-write).  Phase W:
+        # one row per cycle, starting right after the last erase.
+        writes = np.arange(beats, dtype=np.int64) + (int(avail[-1]) + 1)
+        return _apply_update(self, payload, probe, avail, avail, writes)
 
 
 class S3Engine(_EngineBase):
     """Adds horizontal erase-RAM partitioning: erase overlaps the bus read."""
 
     architecture = "s3"
-
-    def __init__(self, geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
-                 record_events: bool = True):
-        super().__init__(geometry, bus, record_events)
-        self.eram = HPartEraseRam(geometry)
 
     def ideal_total_cycles(self) -> int:
         g = self.geometry
@@ -345,7 +265,6 @@ class S3Engine(_EngineBase):
 
     def update(self, payload, probe: Callable | None = None) -> UpdateTrace:
         g = self.geometry
-        payload = _as_payload(g, payload)
         beats = g.beat_count
         groups = g.erase_row_count
         avail = stream_schedule(self.bus, beats)
@@ -353,18 +272,11 @@ class S3Engine(_EngineBase):
         # it.  Beat b lands in row b // P no earlier than cycle b >= b // P,
         # i.e. never before that row's erase read; same-cycle collisions are
         # shielded by read-before-write, so the pre-pass snapshot is
-        # cycle-exact.
-        assert int(avail[0]) >= 0 and bool((avail >= np.arange(beats)).all())
-
-        old_words = self.eram.rows.ravel().copy()
-        self.cam.apply_full_table(old_words, 0)
-        self.eram.rows[:, :] = payload.reshape(groups, g.words_per_beat_k)
-        if probe is not None:
-            probe("after_erase", self)
-
+        # cycle-exact.  A schedule that breaks this premise is refused.
+        if not bool((avail >= np.arange(beats)).all()):
+            raise EngineError(
+                "bus schedule delivers a beat before the cycle of its index")
         writes = self._write_schedule(avail)
-        self.cam.apply_full_table(payload, 1)
-        total = int(writes[-1]) + 1
 
         # First write-side idle cycle at/after the write start: the moment
         # the backlog accumulated during the erase pass has drained.
@@ -372,37 +284,82 @@ class S3Engine(_EngineBase):
             caught_up = groups
         else:
             gaps = np.flatnonzero(np.diff(writes) > 1)
-            caught_up = int(writes[gaps[0]]) + 1 if gaps.size else total
-        catch_up_cycles = caught_up - (groups - 1)
-
-        events = None
-        if self.record_events:
-            events = [TraceEvent(gr, "erase_row", gr) for gr in range(groups)]
-            events.extend(TraceEvent(int(avail[b]), "beat", b)
-                          for b in range(beats))
-            write_set = set()
-            for gr in range(groups):
-                events.append(TraceEvent(int(writes[gr]), "write_row", gr))
-                write_set.add(int(writes[gr]))
-            events.extend(TraceEvent(c, "stall", None)
-                          for c in range(groups, total) if c not in write_set)
-            events.sort(key=lambda e: (e.cycle, _EVENT_ORDER[e.kind]))
-
-        self.updates_completed += 1
-        return UpdateTrace(
-            architecture="s3", depth_n=g.depth_n, word_width_w=g.word_width_w,
-            total_cycles=total, bus_read_cycles=beats,
-            stall_cycles=total - self.ideal_total_cycles(),
-            erase_span=(0, groups - 1),
-            write_span=(int(writes[0]), total - 1),
-            catch_up_cycles=catch_up_cycles,
-            events=events)
+            caught_up = int(writes[gaps[0] if gaps.size else -1]) + 1
+        return _apply_update(self, payload, probe, avail,
+                             np.arange(groups, dtype=np.int64), writes,
+                             catch_up_cycles=caught_up - (groups - 1))
 
 
-# Intra-cycle ordering of s3 events: the wide erase read happens before any
+# Intra-cycle event order of each architecture.  In s1 and s2 a beat lands
+# before the erase it feeds.  In s3 the wide erase read happens before any
 # same-cycle beat load (dual-port read-before-write); a write reads a row
-# whose beats all landed in earlier cycles.
-_EVENT_ORDER = {"erase_row": 0, "beat": 1, "write_row": 2, "stall": 3}
+# whose beats all landed in earlier cycles.  Stalls rank last everywhere.
+_EVENT_ORDER = {
+    "s1": ("beat", "erase", "write", "stall"),
+    "s2": ("beat", "erase_row", "write_row", "stall"),
+    "s3": ("erase_row", "beat", "write_row", "stall"),
+}
+
+
+def _apply_update(engine: _EngineBase, payload, probe: Callable | None,
+                  beats: np.ndarray, erases: np.ndarray, writes: np.ndarray,
+                  catch_up_cycles: int | None = None) -> UpdateTrace:
+    """Run one full-table update on ``engine`` and trace it from its schedule.
+
+    ``beats[b]`` is the arrival cycle of bus beat b; ``erases[i]`` and
+    ``writes[i]`` are the cycles of erase i and write i, which handle word i
+    in s1, and erase-store row i or word group i in s2 and s3.
+    """
+    g = engine.geometry
+    payload = _as_payload(g, payload)
+    engine.cam.apply_full_table(engine.eram.stored_words(), 0)  # erase pass
+    engine.eram.store_words(payload)
+    if probe is not None:
+        probe("after_erase", engine)
+    engine.cam.apply_full_table(payload, 1)  # write pass
+    engine.updates_completed += 1
+
+    total = int(writes.max()) + 1
+    events = None
+    if engine.record_events:
+        events = _events(_EVENT_ORDER[engine.architecture], total, beats,
+                         erases, writes)
+    return UpdateTrace(
+        architecture=engine.architecture, depth_n=g.depth_n,
+        word_width_w=g.word_width_w, total_cycles=total,
+        bus_read_cycles=beats.size,
+        stall_cycles=total - engine.ideal_total_cycles(),
+        erase_span=(int(erases.min()), int(erases.max())),
+        write_span=(int(writes.min()), int(writes.max())),
+        catch_up_cycles=catch_up_cycles, events=events)
+
+
+def _events(order: tuple[str, ...], total: int, beats: np.ndarray,
+            erases: np.ndarray, writes: np.ndarray) -> list[TraceEvent]:
+    """Every event of one update, sorted by (cycle, rank in ``order``).
+
+    A stall is a cycle in [0, total) with neither an erase nor a write.
+    """
+    busy = np.zeros(total, dtype=bool)
+    busy[erases] = True
+    busy[writes] = True
+    by_kind = {"beat": beats, "erase": erases, "write": writes,
+               "stall": np.flatnonzero(~busy)}
+    streams = [by_kind[kind.removesuffix("_row")] for kind in order]
+    ranks = np.repeat(np.arange(len(order)), [s.size for s in streams])
+    cycles = np.concatenate(streams)
+    args = np.concatenate([np.arange(s.size) for s in streams])
+    idx = np.argsort(cycles * len(order) + ranks, kind="stable")
+    ranks = ranks[idx]
+    # One int object per value, shared by every event that carries it, keeps
+    # a per-word trace small.
+    ints = np.arange(max(total, args.size)).astype(object)
+    event_args = ints[args[idx]]
+    event_args[ranks == order.index("stall")] = None
+    return list(map(TraceEvent, ints[cycles[idx]].tolist(),
+                    np.array(order, dtype=object)[ranks].tolist(),
+                    event_args.tolist()))
+
 
 _ENGINES = {"s1": S1Engine, "s2": S2Engine, "s3": S3Engine}
 

@@ -1,211 +1,48 @@
-"""The three erase-RAM organizations.
+"""The erase store: the last word written at each CAM index.
 
 An erase RAM remembers the last word written at each CAM slot so that stale
-bits can be cleared before a rewrite.  Three layouts are modeled:
+bits can be cleared before a rewrite.  The three architectures organize that
+memory differently, but every organization holds the same N words; only the
+reshape differs, and the reshape is set by the word map of
+:mod:`rcam_sim.geometry` (erase-store row of word v = v // k):
 
-* :class:`PerUnitEraseBank` -- one 32x8-bit table in front of every RCU
-  (traditional design; one whole memory block per table).
-* :class:`CentralEraseRam` -- all tables merged into a single dual-port
-  memory of ``beats x B`` bits; one row holds the k words of one bus beat.
-* :class:`HPartEraseRam` -- the central memory split into P side-by-side
-  sub-memories so the internal read port is P times the bus width; beat b
-  lands in partition b % P, row b // P, and a wide read returns a full row
-  across all partitions (partition 0 in the low-order bits).
+* s1 -- one 32x8-bit table in front of every RCU: word v sits in table
+  v // 32, slot v % 32, one byte per slice.
+* s2 -- one central dual-port memory of ``beats x B`` bits: row r holds the
+  k = B/W words of bus beat r.
+* s3 -- the central memory split into P side-by-side sub-memories: wide row
+  g holds the k = P*B/W words of word group g, beat b in partition b % P.
 
-All stores start zeroed; the first-ever erase pass runs unconditionally and
-erasing value 0 from an all-zero RCU is a no-op, so no validity flags exist.
-Dual-port semantics are read-before-write: engines read old row contents
-before applying any same-cycle load.
-
-Word packing convention: word i of a row occupies bits [i*W, (i+1)*W) of the
-row payload, i.e. little-endian fields starting at bit 0.
+So one store serves all three: :class:`EraseStore` keeps the N words in
+global word order.  It starts zeroed; the first-ever erase pass runs
+unconditionally and erasing value 0 from an all-zero RCU is a no-op, so no
+validity flags exist.  Dual-port read-before-write is realized by call
+order: engines read the old words before storing the new ones.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import RCU_SLOTS, CamGeometry
+from .geometry import CamGeometry
 
 
-def pack_words(words: np.ndarray, width: int) -> int:
-    """Word array -> one arbitrary-precision row payload."""
-    value = 0
-    for i, w in enumerate(np.asarray(words, dtype=np.uint64)):
-        value |= int(w) << (i * width)
-    return value
-
-
-def unpack_words(value: int, width: int, count: int) -> np.ndarray:
-    """Row payload -> word array of ``count`` fields of ``width`` bits."""
-    mask = (1 << width) - 1
-    out = np.empty(count, dtype=np.uint64)
-    for i in range(count):
-        out[i] = (value >> (i * width)) & mask
-    return out
-
-
-class PerUnitEraseRam:
-    """One RCU's 32-entry x 8-bit last-written table."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: np.ndarray | None = None):
-        if entries is None:
-            entries = np.zeros(RCU_SLOTS, dtype=np.uint8)
-        if entries.shape != (RCU_SLOTS,) or entries.dtype != np.uint8:
-            raise ValueError("entries must be a (32,) uint8 array")
-        self.entries = entries
-
-    def read(self, slot: int) -> int:
-        self._check(slot)
-        return int(self.entries[slot])
-
-    def swap(self, slot: int, new_sub_word: int) -> int:
-        """Read-before-write: return the previous entry, then store the new."""
-        self._check(slot)
-        if not 0 <= new_sub_word < 256:
-            raise ValueError(f"sub-word {new_sub_word} out of range [0, 256)")
-        old = int(self.entries[slot])
-        self.entries[slot] = new_sub_word
-        return old
-
-    @staticmethod
-    def _check(slot: int) -> None:
-        if not 0 <= slot < RCU_SLOTS:
-            raise ValueError(f"slot {slot} out of range [0, {RCU_SLOTS})")
-
-
-class PerUnitEraseBank:
-    """All per-RCU erase tables of an s1 instance, one row per RCU."""
+class EraseStore:
+    """The N last-written words of one CAM instance, as ``uint64``."""
 
     def __init__(self, geometry: CamGeometry):
         self.geometry = geometry
-        self.entries = np.zeros((geometry.rcu_count, RCU_SLOTS), dtype=np.uint8)
-
-    def unit(self, rcu_flat_index: int) -> PerUnitEraseRam:
-        """View-backed table for one RCU; swaps mutate the bank."""
-        return PerUnitEraseRam(self.entries[rcu_flat_index])
+        self.words = np.zeros(geometry.depth_n, dtype=np.uint64)
 
     def stored_words(self) -> np.ndarray:
-        """Last-written word per global index, assembled from all tables."""
-        g = self.geometry
-        grid = self.entries.reshape(g.rcb_count, g.words_per_beat_k, g.slices,
-                                    RCU_SLOTS)
-        words = np.zeros((g.rcb_count, RCU_SLOTS, g.words_per_beat_k),
-                         dtype=np.uint64)
-        for c in range(g.slices):
-            words |= grid[:, :, c, :].transpose(0, 2, 1).astype(np.uint64) << (8 * c)
-        return words.reshape(g.depth_n)
+        """Copy of the last-written word at every global index."""
+        return self.words.copy()
 
     def store_words(self, values: np.ndarray) -> None:
-        """Replace every table entry from a full-table word array."""
-        g = self.geometry
-        grouped = values.reshape(g.rcb_count, RCU_SLOTS, g.words_per_beat_k)
-        grid = self.entries.reshape(g.rcb_count, g.words_per_beat_k, g.slices,
-                                    RCU_SLOTS)
-        for c in range(g.slices):
-            sub = ((grouped >> np.uint64(8 * c)) & np.uint64(0xFF)).astype(np.uint8)
-            grid[:, :, c, :] = sub.transpose(0, 2, 1)
+        """Replace every entry from a full-table word array."""
+        self.words[:] = values
 
 
-class CentralEraseRam:
-    """Single dual-port memory of ``beats`` rows x B bits."""
-
-    def __init__(self, geometry: CamGeometry):
-        self.geometry = geometry
-        self.rows = np.zeros((geometry.beat_count, geometry.words_per_bus_beat),
-                             dtype=np.uint64)
-
-    @property
-    def row_count(self) -> int:
-        return self.rows.shape[0]
-
-    def load_beat_words(self, row: int, words: np.ndarray) -> np.ndarray:
-        """Store a beat's words at ``row``; returns the previous contents."""
-        self._check(row)
-        old = self.rows[row].copy()
-        self.rows[row] = words
-        return old
-
-    def read_row_words(self, row: int) -> np.ndarray:
-        self._check(row)
-        return self.rows[row].copy()
-
-    def load_beat(self, row: int, payload: int) -> int:
-        """B-bit payload variant of :meth:`load_beat_words`."""
-        g = self.geometry
-        self._check_payload(payload, g.bus_width_b)
-        old = self.load_beat_words(
-            row, unpack_words(payload, g.word_width_w, g.words_per_bus_beat))
-        return pack_words(old, g.word_width_w)
-
-    def read_row(self, row: int) -> int:
-        return pack_words(self.read_row_words(row), self.geometry.word_width_w)
-
-    def _check(self, row: int) -> None:
-        if not 0 <= row < self.row_count:
-            raise ValueError(f"row {row} out of range [0, {self.row_count})")
-
-    @staticmethod
-    def _check_payload(payload: int, bits: int) -> None:
-        if not 0 <= payload < (1 << bits):
-            raise ValueError(f"payload does not fit in {bits} bits")
-
-
-class HPartEraseRam:
-    """P horizontally arranged sub-memories with a P*B-bit wide read port."""
-
-    def __init__(self, geometry: CamGeometry):
-        if geometry.partitions_p < 1:
-            raise ValueError("partition count must be >= 1")
-        self.geometry = geometry
-        # Row-major wide rows: row g holds beats g*P .. g*P+P-1 left to right,
-        # i.e. the k = P * (B/W) consecutive words of word-group g.
-        self.rows = np.zeros((geometry.erase_row_count, geometry.words_per_beat_k),
-                             dtype=np.uint64)
-
-    @property
-    def partitions(self) -> int:
-        return self.geometry.partitions_p
-
-    @property
-    def rows_per_partition(self) -> int:
-        return self.rows.shape[0]
-
-    def load_beat_words(self, beat_index: int, words: np.ndarray) -> None:
-        g = self.geometry
-        if not 0 <= beat_index < g.beat_count:
-            raise ValueError(
-                f"beat {beat_index} out of range [0, {g.beat_count})")
-        row, part = divmod(beat_index, g.partitions_p)
-        wb = g.words_per_bus_beat
-        self.rows[row, part * wb:(part + 1) * wb] = words
-
-    def load_beat(self, beat_index: int, payload: int) -> None:
-        g = self.geometry
-        CentralEraseRam._check_payload(payload, g.bus_width_b)
-        self.load_beat_words(
-            beat_index, unpack_words(payload, g.word_width_w, g.words_per_bus_beat))
-
-    def read_wide_words(self, row: int) -> np.ndarray:
-        """All partitions at ``row``: the k words of word-group ``row``.
-
-        Engines must call this before applying any load of the same cycle;
-        that ordering realizes the dual-port read-before-write guarantee.
-        """
-        if not 0 <= row < self.rows_per_partition:
-            raise ValueError(
-                f"row {row} out of range [0, {self.rows_per_partition})")
-        return self.rows[row].copy()
-
-    def read_wide(self, row: int) -> int:
-        """P*B-bit payload, partition 0 in the low-order position."""
-        return pack_words(self.read_wide_words(row), self.geometry.word_width_w)
-
-    def partition_row(self, partition: int, row: int) -> np.ndarray:
-        g = self.geometry
-        if not 0 <= partition < g.partitions_p:
-            raise ValueError(f"partition {partition} out of range")
-        wb = g.words_per_bus_beat
-        return self.rows[row, partition * wb:(partition + 1) * wb].copy()
+# The benchmark's tracer (perfbench/tracing.py) wraps the store's methods
+# under this name.
+PerUnitEraseBank = EraseStore

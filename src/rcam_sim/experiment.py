@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .bus import BusModel, calibrated_bus, ideal_bus
+from .bus import (BusModel, calibrated_bus, ideal_bus, update_io_efficiency,
+                  update_throughput_gbps)
 from .calibration import (DEFAULT_CALIBRATED_ETA, DEFAULT_CALIBRATED_OVERHEAD,
                           CalibrationResult)
 from .engines import build_engine
@@ -122,7 +123,7 @@ def load_config(path) -> ExperimentConfig:
 class ArchResult:
     architecture: str
     geometry: dict
-    bus: dict
+    bus: BusModel
     total_cycles: int
     trace: dict
     resources: dict
@@ -133,12 +134,11 @@ class ArchResult:
         return self.geometry["depth_n"] * self.geometry["word_width_w"]
 
     def throughput_gbps(self) -> float:
-        bits = self.table_bits
-        seconds = self.total_cycles / (self.bus["clock_mhz"] * 1e6)
-        return bits / seconds / 1e9
+        return update_throughput_gbps(self.table_bits, self.total_cycles,
+                                      self.bus)
 
     def io_efficiency(self) -> float:
-        return self.table_bits / (self.total_cycles * self.bus["bus_width_b"])
+        return update_io_efficiency(self.table_bits, self.total_cycles, self.bus)
 
     def to_dict(self) -> dict:
         return {
@@ -291,7 +291,7 @@ def run_experiment(config: ExperimentConfig,
             tpath.write_text(trace.to_jsonl(), encoding="utf-8")
         results.append(ArchResult(
             architecture=arch, geometry=geometry.describe(),
-            bus=bus.describe(), total_cycles=trace.total_cycles,
+            bus=bus, total_cycles=trace.total_cycles,
             trace=trace.summary(), resources=m10k_report(geometry, arch).to_dict(),
             oracle=oracle_info))
     return EfficiencyReport(

@@ -1,14 +1,15 @@
-"""Functional model of the CAM storage: RCU bit matrices and match assembly.
+"""Functional model of the CAM storage: the RCU grid and its searches.
 
-An :class:`RcuState` is one block RAM seen as a 256x32 bit matrix: row index
-is the 8-bit sub-word value, column index is the slot.  Writing through the
-narrow port sets or clears a single cell; searching reads a whole row and
-yields a 32-bit per-slot match vector.
+Each RCU is one block RAM seen as a 256x32 bit matrix: row index is the
+8-bit sub-word value, column index is the slot.  Writing through the narrow
+port sets or clears a single cell; searching reads a whole row and yields a
+32-bit per-slot match vector.
 
 :class:`RcamArray` is the full grid of RCUs for a geometry.  It stores every
-RCU row-packed in one numpy array (row value -> 32-bit slot mask) so that
-searches and bulk erase/write passes vectorize, while still exposing each
-RCU at cell granularity.
+RCU row-packed in one numpy array (row value -> 32-bit slot mask).  The
+engines' erase and write passes touch the cells of a whole table at once
+(:meth:`RcamArray.apply_full_table`), or of one word (``apply_word``);
+searches AND the slices' packed slot masks, then unpack to word order.
 """
 
 from __future__ import annotations
@@ -17,58 +18,10 @@ import hashlib
 
 import numpy as np
 
-from .geometry import RCU_ROWS, RCU_SLOTS, SUB_WORD_BITS, CamGeometry
+from .geometry import (RCU_ROWS, RCU_SLOTS, SUB_WORD_BITS, CamGeometry,
+                       map_word_index)
 
 _SLOT_SHIFTS = np.arange(RCU_SLOTS, dtype=np.uint32)
-
-
-class RcuState:
-    """One 256-row x 32-slot bit matrix, row-packed as uint32 slot masks."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: np.ndarray | None = None):
-        if rows is None:
-            rows = np.zeros(RCU_ROWS, dtype=np.uint32)
-        if rows.shape != (RCU_ROWS,) or rows.dtype != np.uint32:
-            raise ValueError("rows must be a (256,) uint32 array")
-        self.rows = rows
-
-    def write(self, sub_word: int, slot: int, bit: int) -> None:
-        """Set cell (sub_word, slot) to ``bit``; all other cells unchanged."""
-        self._check(sub_word, slot)
-        if bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        mask = np.uint32(1 << slot)
-        if bit:
-            self.rows[sub_word] |= mask
-        else:
-            self.rows[sub_word] &= ~mask
-
-    def search(self, key: int) -> int:
-        """Per-slot match vector for ``key``: bit j == cell (key, j)."""
-        if not 0 <= key < RCU_ROWS:
-            raise ValueError(f"key {key} out of range [0, {RCU_ROWS})")
-        return int(self.rows[key])
-
-    def cell(self, sub_word: int, slot: int) -> int:
-        self._check(sub_word, slot)
-        return int(self.rows[sub_word] >> slot) & 1
-
-    def column_occupancy(self) -> np.ndarray:
-        """Set-bit count per slot column (<= 1 everywhere under managed use)."""
-        bits = (self.rows[:, None] >> _SLOT_SHIFTS[None, :]) & 1
-        return bits.sum(axis=0, dtype=np.int64)
-
-    def is_zero(self) -> bool:
-        return not self.rows.any()
-
-    @staticmethod
-    def _check(sub_word: int, slot: int) -> None:
-        if not 0 <= sub_word < RCU_ROWS:
-            raise ValueError(f"sub_word {sub_word} out of range [0, {RCU_ROWS})")
-        if not 0 <= slot < RCU_SLOTS:
-            raise ValueError(f"slot {slot} out of range [0, {RCU_SLOTS})")
 
 
 class RcamArray:
@@ -88,16 +41,6 @@ class RcamArray:
                 + np.arange(k)[None, :]).ravel() * geometry.slices
         self._slice_ids = [base + c for c in range(geometry.slices)]
 
-    # -- single-RCU access ---------------------------------------------------
-
-    def rcu(self, rcb: int, position: int, slice_no: int) -> RcuState:
-        """View-backed RCU; writes through it mutate the array."""
-        g = self.geometry
-        if not (0 <= rcb < g.rcb_count and 0 <= position < g.words_per_beat_k
-                and 0 <= slice_no < g.slices):
-            raise ValueError(f"no RCU at ({rcb}, {position}, {slice_no})")
-        return RcuState(self.cells[g.rcu_flat_index(rcb, position, slice_no)])
-
     # -- bulk erase/write (engines) -------------------------------------------
 
     def _sub_words(self, values: np.ndarray, slice_no: int) -> np.ndarray:
@@ -115,26 +58,9 @@ class RcamArray:
         for slot in range(RCU_SLOTS):
             self._apply_slot(grouped[:, slot, :].ravel(), slot, bit)
 
-    def apply_word_group(self, first_word: int, values: np.ndarray, bit: int) -> None:
-        """Touch the cells of ``k`` consecutive words starting at a group
-        boundary (one internal write cycle's worth)."""
-        g = self.geometry
-        k = g.words_per_beat_k
-        if first_word % k != 0 or len(values) != k:
-            raise ValueError("word group must be k-aligned and k words long")
-        rcb, slot, _ = _map_triple(g, first_word)
-        ids_base = (rcb * k + np.arange(k)) * g.slices
-        mask = np.uint32(1 << slot)
-        for c in range(g.slices):
-            rows = self._sub_words(values, c)
-            if bit:
-                self.cells[ids_base + c, rows] |= mask
-            else:
-                self.cells[ids_base + c, rows] &= ~mask
-
     def apply_word(self, word: int, value: int, bit: int) -> None:
         g = self.geometry
-        rcb, slot, pos = _map_triple(g, word)
+        rcb, slot, pos = map_word_index(g, word)
         mask = np.uint32(1 << slot)
         for c in range(g.slices):
             flat = g.rcu_flat_index(rcb, pos, c)
@@ -209,34 +135,6 @@ class RcamArray:
 
     def state_digest(self) -> str:
         return hashlib.sha256(self.cells.tobytes()).hexdigest()
-
-
-def _map_triple(g: CamGeometry, word: int) -> tuple[int, int, int]:
-    group = RCU_SLOTS * g.words_per_beat_k
-    rcb, rem = divmod(word, group)
-    j, i = divmod(rem, g.words_per_beat_k)
-    return rcb, j, i
-
-
-def assemble_match(geometry: CamGeometry, slot_vectors: np.ndarray) -> np.ndarray:
-    """Combine per-RCU slot vectors into the global match vector.
-
-    ``slot_vectors[rcb, i, c]`` is the 32-bit slot mask RCU (rcb, i, c)
-    produced for its sub-key.  The global bit of word (rcb, j, i) is the AND
-    over slices c of bit j, which preserves word order (bit-sliced assembly).
-    """
-    g = geometry
-    slot_vectors = np.asarray(slot_vectors, dtype=np.uint32)
-    expected = (g.rcb_count, g.words_per_beat_k, g.slices)
-    if slot_vectors.shape != expected:
-        raise ValueError(
-            f"slot vector grid {slot_vectors.shape} does not match geometry "
-            f"{expected}")
-    packed = slot_vectors[:, :, 0].copy()
-    for c in range(1, g.slices):
-        packed &= slot_vectors[:, :, c]
-    bits = (packed[:, None, :] >> _SLOT_SHIFTS[None, :, None]) & 1
-    return bits.reshape(g.depth_n).astype(bool)
 
 
 def extract_match_addresses(match: np.ndarray, mode: str = "all") -> list[int]:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcam_sim.bus import (BusError, BusModel, IDEAL_BUS, StallSequence,
-                          calibrated_bus, discrete_schedule, ideal_bus,
+                          calibrated_bus, demand_schedule, ideal_bus,
                           stream_schedule, update_io_efficiency,
                           update_throughput_gbps)
 
@@ -24,6 +24,25 @@ def test_bus_validation():
     with pytest.raises(BusError):
         BusModel(mode="turbo")
     calibrated_bus(0.9, 1.5)  # fine
+
+
+def test_knobs_are_quantised_to_what_is_simulated():
+    bus = calibrated_bus(0.9765, 1.905)
+    # round(x * resolution): 976.5 -> 976, 190.49999... -> 190
+    assert bus.stream_efficiency == 0.976
+    assert bus.burst_overhead_cycles == 1.9
+    assert bus.describe()["burst_overhead_cycles"] == 1.9
+    assert np.array_equal(stream_schedule(bus, 500),
+                          stream_schedule(calibrated_bus(0.976, 0), 500))
+    assert np.array_equal(StallSequence(1.905).take(100),
+                          StallSequence(bus.burst_overhead_cycles).take(100))
+    assert calibrated_bus(0.976, 1.9).describe()["stream_efficiency"] == 0.976
+
+
+def test_eta_that_rounds_to_zero_is_rejected():
+    with pytest.raises(BusError, match="rounds to 0"):
+        calibrated_bus(0.0004, 0.0)
+    assert calibrated_bus(0.0006, 0.0).stream_efficiency == 0.001
 
 
 def test_stream_ideal_identity():
@@ -73,34 +92,48 @@ def test_stream_monotone_and_causal():
 
 
 def test_discrete_ideal_adds_one_cycle():
-    requests = np.array([0, 5, 9, 40])
-    avail = discrete_schedule(IDEAL_BUS, requests)
-    assert np.array_equal(avail, requests + 1)
+    # the request goes out one cycle before the current beat is used up and
+    # the transfer takes that one cycle: an ideal bus never stalls
+    starts = demand_schedule(IDEAL_BUS, 5, consume_cycles=4)
+    assert starts.tolist() == [0, 4, 8, 12, 16]
+    assert demand_schedule(IDEAL_BUS, 5, 4, prefetch=True).tolist() == \
+        starts.tolist()
 
 
 def test_discrete_serializes_back_to_back():
+    # with prefetch each burst still occupies 1 + 2 cycles of bus time, so
+    # short consumption leaves the bursts queued back to back
     bus = calibrated_bus(1.0, 2.0)
-    avail = discrete_schedule(bus, [0, 1, 2, 3])
-    # each burst takes 3 cycles of bus time and they queue
-    assert avail.tolist() == [3, 6, 9, 12]
+    assert demand_schedule(bus, 4, 1, prefetch=True).tolist() == [2, 5, 8, 11]
+    # long consumption hides the latency of every burst but the first
+    assert demand_schedule(bus, 4, 8, prefetch=True).tolist() == [2, 10, 18, 26]
+    assert demand_schedule(bus, 4, 8).tolist() == [2, 12, 22, 32]
 
 
 def test_discrete_rejects_non_monotone():
+    # a consumer that takes no cycles would stack every beat on one cycle
     with pytest.raises(BusError):
-        discrete_schedule(IDEAL_BUS, [3, 3, 4])
+        demand_schedule(IDEAL_BUS, 4, 0)
     with pytest.raises(BusError):
-        discrete_schedule(IDEAL_BUS, [])
+        demand_schedule(IDEAL_BUS, 0, 2)
 
 
 def test_discrete_seeded_property():
     rng = np.random.default_rng(42)
-    requests = np.cumsum(rng.integers(1, 12, size=1000))
-    bus = calibrated_bus(1.0, 1.9)
-    avail = discrete_schedule(bus, requests)
-    assert np.all(avail > requests)  # never before the request
-    gaps = np.diff(avail)
-    assert gaps.min() >= 1 + 1  # 1 transfer + floor(1.9)
-    assert np.all(np.diff(avail) > 0)
+    for _ in range(50):
+        overhead = round(float(rng.uniform(0, 4)), 2)
+        consume = int(rng.integers(1, 12))
+        count = int(rng.integers(1, 300))
+        bus = calibrated_bus(1.0, overhead)
+        stalls = StallSequence(overhead).take(count)
+        plain = demand_schedule(bus, count, consume)
+        assert plain[0] == stalls[0]
+        assert np.array_equal(np.diff(plain), consume + stalls[1:])
+        assert plain[-1] == (count - 1) * consume + stalls.sum()
+        early = demand_schedule(bus, count, consume, prefetch=True)
+        assert np.all(np.diff(early) >= consume)
+        assert np.all(np.diff(early) > stalls[1:])  # one burst at a time
+        assert np.all(early <= plain)
 
 
 def test_stall_sequence_mean():

@@ -64,6 +64,26 @@ def test_run_calibrated_bus_flags(tmp_path):
     assert parsed["bus"]["stream_efficiency"] == 0.9
 
 
+def test_run_reports_the_simulated_burst_overhead(tmp_path):
+    # 1.905 runs as 1.90 (20,275 cycles); the report says so
+    out = tmp_path / "r.json"
+    rc = main(["run", "--arch", "s1", "--depth", "8192", "--width", "64",
+               "--bus", "calibrated", "--burst-overhead", "1.905",
+               "--no-verify", "--out", str(out)])
+    assert rc == 0
+    parsed = json.loads(out.read_text())
+    assert parsed["bus"]["burst_overhead_cycles"] == 1.9
+    assert parsed["results"][0]["total_cycles"] == 20275
+
+
+def test_run_rejects_eta_that_rounds_to_zero(capsys):
+    rc = main(["run", "--arch", "s2", "--depth", "1024", "--bus", "calibrated",
+               "--eta", "0.0004"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "stream_efficiency 0.0004 rounds to 0" in err
+
+
 def test_sweep_subcommand(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep", "--archs", "s2,s3", "--keys", "8",

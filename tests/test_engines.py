@@ -156,6 +156,17 @@ def test_erase_precedes_write_for_every_word(arch):
     assert trace.write_span[0] == write.min() and trace.write_span[1] == write.max()
 
 
+def test_s3_refuses_a_beat_before_its_index(monkeypatch):
+    # the erase pass snapshot is cycle-exact only if no beat lands early;
+    # the check must survive python -O, so it is no assert
+    g = geometry_for("s3", 2048, 8)
+    engine = build_engine(g)
+    monkeypatch.setattr("rcam_sim.engines.stream_schedule",
+                        lambda bus, count: np.zeros(count, dtype=np.int64))
+    with pytest.raises(EngineError, match="before the cycle of its index"):
+        engine.update(generate_payload(1, g))
+
+
 def test_s3_write_waits_for_beats_and_erase():
     g, engine, trace = run("s3", 2048, 64, record_events=True)
     beat_cycle = {ev.arg: ev.cycle for ev in trace.events if ev.kind == "beat"}

@@ -1,128 +1,153 @@
+"""The erase store and the erase protocol the engines build on it.
+
+One store holds the last word written at each global index; the three
+erase-RAM organizations are reshapes of it along the word map.  These tests
+check the store's round trip, the per-architecture layouts as seen through
+the word map, and the read-before-write protocol through public engine
+behaviour.
+"""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcam_sim.erase_store import (CentralEraseRam, HPartEraseRam,
-                                  PerUnitEraseBank, PerUnitEraseRam,
-                                  pack_words, unpack_words)
+from rcam_sim.engines import EngineError, S1Engine, build_engine
+from rcam_sim.erase_store import EraseStore
 from rcam_sim.geometry import geometry_for, map_word_index
+from rcam_sim.oracle import ReferenceCam, equivalence_check
+from rcam_sim.payload import generate_payload
+
+
+def _rows(engine, row_words):
+    """The store of ``engine`` as rows of ``row_words`` words."""
+    return engine.eram.stored_words().reshape(-1, row_words)
 
 
 def test_per_unit_swap_basics():
-    table = PerUnitEraseRam()
-    assert table.swap(3, 0xAB) == 0x00  # fresh tables read as zero
-    assert table.swap(3, 0xCD) == 0xAB
-    assert table.read(3) == 0xCD
-    with pytest.raises(ValueError):
-        table.swap(32, 0)
-    with pytest.raises(ValueError):
-        table.swap(0, 256)
+    # s1 incremental update: read the old word, erase it, store the new one
+    g = geometry_for("s1", 1024, 8)
+    engine = S1Engine(g)
+    assert not engine.eram.stored_words().any()  # fresh tables read as zero
+    engine.update_word(3, 0xAB)
+    engine.update_word(3, 0xCD)
+    assert engine.eram.stored_words()[3] == 0xCD
+    assert not engine.search(0xAB)[3]  # the old word was erased
+    assert engine.search(0xCD)[3]
+    with pytest.raises(EngineError):
+        engine.update_word(1024, 0)
+    with pytest.raises(EngineError):
+        engine.update_word(0, 256)
 
 
 def test_per_unit_swap_replay():
+    g = geometry_for("s1", 1024, 8)
+    engine = S1Engine(g, record_events=False)
+    reference = ReferenceCam(1024, 8)
     rng = np.random.default_rng(31337)
-    table = PerUnitEraseRam()
-    log = {}
-    for _ in range(10000):
-        slot, value = int(rng.integers(32)), int(rng.integers(256))
-        assert table.swap(slot, value) == log.get(slot, 0)
-        log[slot] = value
+    log = np.zeros(1024, dtype=np.uint64)
+    for _ in range(2000):
+        index, value = int(rng.integers(1024)), int(rng.integers(256))
+        engine.update_word(index, value)
+        reference.update(index, value)
+        log[index] = value
+    assert np.array_equal(engine.eram.stored_words(), log)
+    assert equivalence_check(engine, reference, np.arange(256)).passed
 
 
 def test_per_unit_bank_round_trip():
     g = geometry_for("s1", 1024, 16)
-    bank = PerUnitEraseBank(g)
+    bank = EraseStore(g)
     words = np.random.default_rng(1).integers(0, 1 << 16, size=1024).astype(np.uint64)
     bank.store_words(words)
     assert np.array_equal(bank.stored_words(), words)
-    # per-unit view agrees with the word map: word v -> table v//32, slot v%32
+    bank.stored_words()[0] ^= np.uint64(1)  # reads are copies
+    assert np.array_equal(bank.stored_words(), words)
+    # per-unit table of word v: RCU v//32, slot v%32, one byte per slice
+    engine = S1Engine(g)
+    engine.update(words)
     v = 517
     for c in range(g.slices):
-        unit = bank.unit((v // 32) * g.slices + c)
-        assert unit.read(v % 32) == (int(words[v]) >> (8 * c)) & 0xFF
+        sub = (int(words[v]) >> (8 * c)) & 0xFF
+        flat = g.rcu_flat_index(v // 32, 0, c)
+        assert engine.cam.cells[flat, sub] == 1 << (v % 32)
 
 
 def test_central_load_returns_old_row():
+    # s2: 2,048 x 256-bit rows; the erase pass reads the previous table
     g = geometry_for("s2", 65536, 8)
-    eram = CentralEraseRam(g)
-    assert eram.rows.shape == (2048, 32)  # 2,048 x 256-bit
-    x = pack_words(np.arange(32, dtype=np.uint64), 8)
-    y = pack_words(np.arange(32, 64, dtype=np.uint64), 8)
-    assert eram.load_beat(0, x) == 0
-    assert eram.load_beat(0, y) == x
-    assert eram.read_row(0) == y
-    with pytest.raises(ValueError):
-        eram.load_beat(2048, 0)
-    with pytest.raises(ValueError):
-        eram.read_row(-1)
-    with pytest.raises(ValueError):
-        eram.load_beat(0, 1 << 256)
+    engine = build_engine(g, record_events=False)
+    assert _rows(engine, g.words_per_bus_beat).shape == (2048, 32)
+    first, second = generate_payload(1, g), generate_payload(2, g)
+    engine.update(first)
+    assert np.array_equal(engine.eram.stored_words(), first)
+    engine.update(second)
+    assert np.array_equal(_rows(engine, 32)[0], second[:32])
+    reference = ReferenceCam(65536, 8)
+    reference.load_full(second)
+    assert equivalence_check(engine, reference, first[:64]).passed
 
 
 def test_central_two_pass_replay():
     g = geometry_for("s2", 2048, 8)
-    eram = CentralEraseRam(g)
-    rng = np.random.default_rng(17)
-    first = rng.integers(0, 256, size=(eram.row_count, 32)).astype(np.uint64)
-    second = rng.integers(0, 256, size=(eram.row_count, 32)).astype(np.uint64)
-    for r in range(eram.row_count):
-        assert not eram.load_beat_words(r, first[r]).any()
-    reads = np.stack([eram.read_row_words(r) for r in range(eram.row_count)])
-    assert np.array_equal(reads, first)  # reads are pure
-    assert np.array_equal(reads, np.stack([eram.read_row_words(r)
-                                           for r in range(eram.row_count)]))
-    for r in range(eram.row_count):
-        old = eram.load_beat_words(r, second[r])
-        assert np.array_equal(old, first[r])
+    engine = build_engine(g, record_events=False)
+    first, second = generate_payload(17, g), generate_payload(18, g)
+    engine.update(first)
+    seen = []
+
+    def probe(stage, eng):
+        # erase pass done: the store holds the new rows, the CAM is empty
+        seen.append(np.array_equal(eng.eram.stored_words(), second))
+        assert eng.cam.is_zero()
+
+    engine.update(second, probe=probe)
+    assert seen == [True]
+    reference = ReferenceCam(2048, 8)
+    reference.load_full(second)
+    keys = np.concatenate([first[:100], second[:100]])
+    assert equivalence_check(engine, reference, keys).passed
 
 
 def test_hpart_fill_order():
     g = geometry_for("s3", 65536, 8)
-    eram = HPartEraseRam(g)
-    assert eram.partitions == 8 and eram.rows_per_partition == 256
-    payloads = [np.full(32, 100 + b, dtype=np.uint64) for b in range(9)]
-    for b in range(8):
-        eram.load_beat_words(b, payloads[b])
-    # beats 0..7 land in partitions 0..7 of row 0; row 1 untouched
-    for p in range(8):
-        assert np.array_equal(eram.partition_row(p, 0), payloads[p])
-        assert not eram.partition_row(p, 1).any()
-    eram.load_beat_words(8, payloads[8])
-    assert np.array_equal(eram.partition_row(0, 1), payloads[8])
-    with pytest.raises(ValueError):
-        eram.load_beat_words(2048, payloads[0])
-
-
-def test_hpart_wide_read_is_concatenation():
-    g = geometry_for("s3", 8192, 64)
-    eram = HPartEraseRam(g)
-    assert not eram.read_wide_words(0).any()  # fresh store reads zero
-    wb = g.words_per_bus_beat
-    beats = [np.arange(b * wb, (b + 1) * wb, dtype=np.uint64) for b in range(8)]
-    for b, words in enumerate(beats):
-        eram.load_beat_words(b, words)
-    wide = eram.read_wide_words(0)
-    assert np.array_equal(wide, np.concatenate(beats))
-    # partition 0 sits in the low-order bit positions of the packed payload
-    packed = eram.read_wide(0)
-    assert unpack_words(packed, 64, g.words_per_beat_k)[0] == beats[0][0]
+    p, wb, k = g.partitions_p, g.words_per_bus_beat, g.words_per_beat_k
+    assert (p, g.erase_row_count) == (8, 256)
+    # beat b lands in partition b % P of wide row b // P
+    for b in (0, 1, 7, 8, 9, g.beat_count - 1):
+        words = np.arange(b * wb, (b + 1) * wb)
+        assert set(words // k) == {b // p}
+        assert set((words % k) // wb) == {b % p}
+    engine = build_engine(g, record_events=False)
+    payload = generate_payload(4, g)
+    engine.update(payload)
+    wide = engine.eram.stored_words().reshape(g.erase_row_count, p, wb)
+    assert np.array_equal(wide[1, 0], payload[8 * wb:9 * wb])
 
 
 @pytest.mark.parametrize("depth,width", [(65536, 8), (8192, 64), (4096, 16)])
 def test_hpart_regrouping_oracle(depth, width):
     g = geometry_for("s3", depth, width)
-    eram = HPartEraseRam(g)
-    rng = np.random.default_rng(depth + width)
-    stream = rng.integers(0, 1 << min(width, 62), size=(g.beat_count,
-                                                        g.words_per_bus_beat))
-    stream = stream.astype(np.uint64)
-    for b in range(g.beat_count):
-        eram.load_beat_words(b, stream[b])
+    engine = build_engine(g, record_events=False)
+    payload = generate_payload(depth + width, g)
+    engine.update(payload)
+    stream = payload.reshape(g.beat_count, g.words_per_bus_beat)
+    rows = _rows(engine, g.words_per_beat_k)
     p, wb = g.partitions_p, g.words_per_bus_beat
-    for row in range(eram.rows_per_partition):
+    for row in range(g.erase_row_count):
         regrouped = stream[row * p:(row + 1) * p].reshape(p * wb)
-        assert np.array_equal(eram.read_wide_words(row), regrouped)
+        assert np.array_equal(rows[row], regrouped)
+
+
+def test_hpart_wide_read_is_concatenation():
+    g = geometry_for("s3", 8192, 64)
+    store = EraseStore(g)
+    assert not store.stored_words().any()  # fresh store reads zero
+    wb, k = g.words_per_bus_beat, g.words_per_beat_k
+    words = np.arange(g.depth_n, dtype=np.uint64)
+    store.store_words(words)
+    wide = store.stored_words().reshape(-1, k)[0]
+    beats = [words[b * wb:(b + 1) * wb] for b in range(g.partitions_p)]
+    assert np.array_equal(wide, np.concatenate(beats))
 
 
 @pytest.mark.parametrize("arch,depth,width", [
@@ -132,43 +157,36 @@ def test_beat_word_consistency(arch, depth, width):
     # word v occupies field (v mod k) of row (v div k) for the store's own k
     g = geometry_for(arch, depth, width)
     payload = np.arange(depth, dtype=np.uint64) & np.uint64(g.word_mask)
-    if arch == "s2":
-        eram = CentralEraseRam(g)
-        k = g.words_per_bus_beat
-        for r in range(eram.row_count):
-            eram.load_beat_words(r, payload[r * k:(r + 1) * k])
-        read = eram.read_row_words
-    else:
-        eram = HPartEraseRam(g)
-        wb = g.words_per_bus_beat
-        for b in range(g.beat_count):
-            eram.load_beat_words(b, payload[b * wb:(b + 1) * wb])
-        k = g.words_per_beat_k
-        read = eram.read_wide_words
+    engine = build_engine(g, record_events=False)
+    engine.update(payload)
+    k = g.words_per_beat_k
+    rows = _rows(engine, k)
     for v in range(0, depth, max(1, depth // 97)):
-        assert read(v // k)[v % k] == payload[v]
+        assert rows[v // k][v % k] == payload[v]
         rcb, j, i = map_word_index(g, v)
         assert v // k == rcb * 32 + j  # row index doubles as (rcb, slot)
 
 
 def test_read_before_write_call_order():
-    # engines realize dual-port read-before-write by reading the old row
-    # before applying any same-cycle load; the store honors call order
-    g = geometry_for("s3", 65536, 8)
-    eram = HPartEraseRam(g)
-    first = np.arange(32, dtype=np.uint64)
-    eram.load_beat_words(0, first)
-    old = eram.read_wide_words(0)        # the erase read of this cycle
-    eram.load_beat_words(8, first + 1)   # same-cycle load, different row
-    assert np.array_equal(old[:32], first)
-    assert np.array_equal(eram.read_wide_words(1)[:32], first + 1)
+    # the erase pass clears exactly the previous table, so consecutive
+    # updates leave one set bit per column and no stale match
+    g = geometry_for("s3", 8192, 8)
+    engine = build_engine(g, record_events=False)
+    first, second = generate_payload(1, g), generate_payload(2, g)
+    engine.update(first)
+    engine.update(second)
+    assert engine.cam.column_occupancy().max() == 1
+    reference = ReferenceCam(8192, 8)
+    reference.load_full(second)
+    assert equivalence_check(engine, reference, first[:128]).passed
 
 
-@given(st.integers(1, 64), st.lists(st.integers(0, 2 ** 64 - 1), min_size=1,
-                                    max_size=32))
+@given(st.sampled_from([8, 16, 32, 64]),
+       st.lists(st.integers(0, 2 ** 64 - 1), min_size=32, max_size=32))
 @settings(max_examples=60)
-def test_pack_unpack_round_trip(width_octets, raw):
-    width = 8 * ((width_octets - 1) % 8 + 1)
-    words = np.array([w & ((1 << width) - 1) for w in raw], dtype=np.uint64)
-    packed = pack_words(words, width)
-    assert np.array_equal(unpack_words(packed, width, len(words)), words)
+def test_store_round_trip_property(width, raw):
+    g = geometry_for("s1", 32, width)
+    words = np.array([w & g.word_mask for w in raw], dtype=np.uint64)
+    store = EraseStore(g)
+    store.store_words(words)
+    assert np.array_equal(store.stored_words(), words)

@@ -3,63 +3,78 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcam_sim.geometry import geometry_for
+from rcam_sim.geometry import GeometryError, geometry_for
 from rcam_sim.oracle import ReferenceCam
-from rcam_sim.rcu import (RcamArray, RcuState, assemble_match,
-                          extract_match_addresses)
+from rcam_sim.rcu import RcamArray, extract_match_addresses
+
+
+def _array():
+    return RcamArray(geometry_for("s2", 1024, 8))
 
 
 def test_single_cell_write_and_undo():
-    rcu = RcuState()
-    rcu.write(5, 3, 1)
-    assert rcu.cell(5, 3) == 1
-    assert rcu.search(5) == 1 << 3
-    total = sum(int(r) for r in rcu.rows)
-    assert total == 1 << 3  # nothing else set
-    rcu.write(5, 3, 0)
-    assert rcu.is_zero()
+    arr = _array()
+    arr.apply_word(227, 5, 1)  # an 8-bit word touches one cell
+    assert np.count_nonzero(arr.cells) == 1
+    assert extract_match_addresses(arr.search(5)) == [227]
+    arr.apply_word(227, 5, 0)
+    assert arr.is_zero()
 
 
 def test_search_reads_one_row():
-    rcu = RcuState()
-    assert rcu.search(0) == 0
-    rcu.write(5, 3, 1)
-    assert rcu.search(5) == 0b1000
-    assert rcu.search(6) == 0
+    arr = _array()
+    assert not arr.slice_match(0, 0).any()
+    arr.apply_word(3, 5, 1)
+    assert extract_match_addresses(arr.slice_match(0, 5)) == [3]
+    assert not arr.slice_match(0, 6).any()
 
 
 def test_write_range_errors():
-    rcu = RcuState()
-    for sub, slot, bit in [(256, 0, 1), (-1, 0, 1), (0, 32, 1), (0, -1, 0),
-                           (0, 0, 2)]:
-        with pytest.raises(ValueError):
-            rcu.write(sub, slot, bit)
+    arr = _array()
+    with pytest.raises(GeometryError):
+        arr.apply_word(1024, 0, 1)
+    with pytest.raises(GeometryError):
+        arr.apply_word(-1, 0, 1)
     with pytest.raises(ValueError):
-        rcu.search(256)
+        arr.slice_match(0, 256)
+    with pytest.raises(ValueError):
+        arr.search_batch(np.array([256], dtype=np.uint64))
+    with pytest.raises(ValueError):
+        arr.search_batch(np.zeros((2, 2), dtype=np.uint64))
+
+
+def _replay(ops):
+    """Apply (word, value, bit) cell writes; return the array and the cells
+    a direct assignment oracle expects."""
+    arr = _array()
+    cells = {}
+    for word, value, bit in ops:
+        arr.apply_word(word, value, bit)
+        cells[(word, value)] = bit
+    return arr, cells
 
 
 def test_seeded_writes_match_replay_oracle():
     rng = np.random.default_rng(20240117)
-    rcu = RcuState()
-    matrix = np.zeros((256, 32), dtype=np.uint8)  # direct cell assignment
-    for _ in range(1000):
-        sub, slot, bit = int(rng.integers(256)), int(rng.integers(32)), int(rng.integers(2))
-        rcu.write(sub, slot, bit)
-        matrix[sub, slot] = bit
+    ops = [(int(rng.integers(1024)), int(rng.integers(256)), int(rng.integers(2)))
+           for _ in range(1000)]
+    arr, cells = _replay(ops)
+    matrix = np.zeros((256, 1024), dtype=bool)
+    for (word, value), bit in cells.items():
+        matrix[value, word] = bit
     for row in range(256):
-        packed = int((matrix[row].astype(np.uint64) << np.arange(32, dtype=np.uint64)).sum())
-        assert rcu.search(row) == packed
+        assert np.array_equal(arr.slice_match(0, row), matrix[row])
 
 
 def test_managed_population_vs_linear_scan():
     rng = np.random.default_rng(7)
     stored = rng.integers(0, 256, size=32)
-    rcu = RcuState()
-    for slot, value in enumerate(stored):
-        rcu.write(int(value), slot, 1)
+    arr = _array()
+    for word, value in enumerate(stored):  # one word per slot of RCU 0
+        arr.apply_word(word * 32, int(value), 1)
     for key in range(256):
-        want = sum(1 << slot for slot, v in enumerate(stored) if v == key)
-        assert rcu.search(key) == want
+        want = [32 * word for word, v in enumerate(stored) if v == key]
+        assert extract_match_addresses(arr.search(key)) == want
 
 
 def test_search_is_pure():
@@ -73,27 +88,13 @@ def test_search_is_pure():
     assert arr.state_digest() == before
 
 
-def test_rcu_view_is_live():
+def test_apply_word_hits_mapped_cell():
     g = geometry_for("s2", 1024, 8)
     arr = RcamArray(g)
-    arr.rcu(0, 3, 0).write(0xAB, 7, 1)
-    # word (rcb=0, j=7, i=3) = 7*32 + 3 = 227
-    match = arr.search(0xAB)
-    assert extract_match_addresses(match) == [227]
-
-
-def test_assemble_match_single_word():
-    g = geometry_for("s2", 1024, 8)
-    arr = RcamArray(g)
-    arr.apply_word(700, 0x5C, 1)
-    vectors = np.zeros((g.rcb_count, g.words_per_beat_k, g.slices), dtype=np.uint32)
-    for rcb in range(g.rcb_count):
-        for i in range(g.words_per_beat_k):
-            for c in range(g.slices):
-                vectors[rcb, i, c] = arr.rcu(rcb, i, c).search(0x5C)
-    match = assemble_match(g, vectors)
-    assert extract_match_addresses(match) == [700]
-    assert np.array_equal(match, arr.search(0x5C))
+    # word (rcb=0, j=7, i=3) = 7*32 + 3 = 227: RCU (0, 3), row 0xAB, slot 7
+    arr.apply_word(227, 0xAB, 1)
+    assert arr.cells[g.rcu_flat_index(0, 3, 0), 0xAB] == 1 << 7
+    assert extract_match_addresses(arr.search(0xAB)) == [227]
 
 
 def test_and_combining_suppresses_partial_match():
@@ -104,12 +105,6 @@ def test_and_combining_suppresses_partial_match():
     # same low byte, different high byte: no match anywhere
     assert not arr.search(0x34AB).any()
     assert not arr.search(0x12CD).any()
-
-
-def test_assemble_match_shape_error():
-    g = geometry_for("s2", 1024, 16)
-    with pytest.raises(ValueError):
-        assemble_match(g, np.zeros((1, 1, 1), dtype=np.uint32))
 
 
 def test_full_scan_matches_oracle_all_keys_w16():
@@ -178,14 +173,10 @@ def test_extract_matches_naive_loop():
     assert extract_match_addresses(vec) == naive
 
 
-@given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 31),
+@given(st.lists(st.tuples(st.integers(0, 1023), st.integers(0, 255),
                           st.integers(0, 1)), max_size=60))
 @settings(max_examples=80)
 def test_write_replay_property(ops):
-    rcu = RcuState()
-    cells = {}
-    for sub, slot, bit in ops:
-        rcu.write(sub, slot, bit)
-        cells[(sub, slot)] = bit
-    for (sub, slot), bit in cells.items():
-        assert rcu.cell(sub, slot) == bit
+    arr, cells = _replay(ops)
+    for (word, value), bit in cells.items():
+        assert arr.slice_match(0, value)[word] == bit
