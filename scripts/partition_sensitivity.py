@@ -14,7 +14,7 @@ import argparse
 
 from rcam_sim.bus import calibrated_bus, ideal_bus, update_io_efficiency
 from rcam_sim.engines import S1Engine, build_engine
-from rcam_sim.geometry import CamGeometry, geometry_for
+from rcam_sim.geometry import geometry_for
 from rcam_sim.payload import generate_payload
 
 
@@ -23,9 +23,7 @@ def partition_sweep(depth: int, width: int) -> None:
     print(f"{'P':>3}  {'erase pass':>10}  {'total':>7}  {'catch-up':>8}")
     p = 1
     while 32 * p * 256 // width <= depth and p <= 64:
-        geometry = CamGeometry("s3", depth, width, 256,
-                               words_per_beat_k=p * 256 // width,
-                               partitions_p=p)
+        geometry = geometry_for("s3", depth, width, partitions_p=p)
         engine = build_engine(geometry, record_events=False)
         trace = engine.update(generate_payload(1, geometry))
         span = trace.erase_span[1] - trace.erase_span[0] + 1

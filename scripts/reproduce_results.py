@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 
 from rcam_sim.calibration import calibrate
-from rcam_sim.experiment import emit_report, run_sweep
+from rcam_sim.experiment import ExperimentConfig, emit_report, run_sweep
 from rcam_sim.resources import m10k_report
 
 GEOMETRIES = [(65536, 8), (32768, 16), (16384, 32), (8192, 64)]
@@ -65,7 +65,7 @@ def main() -> int:
     resource_table()
     print()
 
-    ideal = run_sweep(bus_mode="ideal", seed=args.seed, key_count=args.keys)
+    ideal = run_sweep(ExperimentConfig(seed=args.seed, key_count=args.keys))
     efficiency_table(ideal, "ideal bus")
     emit_report(ideal, args.out_dir / "sweep_ideal.csv", "csv")
     emit_report(ideal, args.out_dir / "sweep_ideal.json", "json")
@@ -83,10 +83,10 @@ def main() -> int:
         json.dumps(fit.to_dict(), indent=2) + "\n", encoding="utf-8")
     print()
 
-    calibrated = run_sweep(
+    calibrated = run_sweep(ExperimentConfig(
         bus_mode="calibrated", stream_efficiency=fit.stream_efficiency,
         burst_overhead_cycles=fit.burst_overhead_cycles, seed=args.seed,
-        key_count=args.keys, calibration=fit)
+        key_count=args.keys), fit)
     efficiency_table(calibrated, "calibrated bus")
     emit_report(calibrated, args.out_dir / "sweep_calibrated.csv", "csv")
     emit_report(calibrated, args.out_dir / "sweep_calibrated.json", "json")

@@ -117,7 +117,6 @@ class StallSequence:
     def __init__(self, mean_cycles: float):
         if mean_cycles < 0:
             raise BusError("stall mean must be >= 0")
-        self.mean = mean_cycles
         self._num = round(mean_cycles * OVERHEAD_RESOLUTION)
         self._acc = 0
 

@@ -7,6 +7,10 @@ actual update engines at the anchor configurations and picks the
 (stream efficiency, burst overhead) pair minimizing the maximum relative
 error.  Residuals are always reported, never hidden.
 
+The fit runs on the default 256-bit bus (the clock does not enter an
+efficiency) over the fixed grids ``ETA_GRID`` and ``OVERHEAD_GRID``; the
+targets are its only input.
+
 Anchor configurations: the streaming architectures at 65,536x8 and the
 traditional one at 8,192x64 (its efficiency grows with width, so the widest
 variant is the published comparison point).
@@ -16,14 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-from .bus import calibrated_bus, ideal_bus, update_io_efficiency
+from .bus import calibrated_bus, update_io_efficiency
 from .engines import build_engine
 from .geometry import geometry_for
 from .payload import generate_payload
 
 S1_ANCHOR = (8192, 64)
 STREAM_ANCHOR = (65536, 8)
+# (low, high, step) of the search grid of each knob.
+ETA_GRID = (0.90, 1.00, 0.001)
+OVERHEAD_GRID = (0.0, 4.0, 0.05)
 
 # Defaults obtained by running calibrate() against the built-in targets.
 DEFAULT_TARGETS = {"s1": 0.101, "s2": 0.498, "s3": 0.968}
@@ -68,11 +74,7 @@ def _simulated_efficiency(arch: str, bus) -> float:
     return update_io_efficiency(geometry.table_bits, trace.total_cycles, bus)
 
 
-def calibrate(targets: dict[str, float] | None = None,
-              eta_grid=(0.90, 1.00, 0.001),
-              overhead_grid=(0.0, 4.0, 0.05),
-              bus_width_b: int = 256,
-              clock_mhz: float = 100.0) -> CalibrationResult:
+def calibrate(targets: dict[str, float] | None = None) -> CalibrationResult:
     """Grid-search (eta, overhead) against measured efficiencies.
 
     ``targets`` maps architecture name to efficiency in (0, 1]; omitted
@@ -91,23 +93,19 @@ def calibrate(targets: dict[str, float] | None = None,
             raise ValueError(
                 f"target for {arch} must lie in (0, 1], got {eff}")
 
-    etas = _grid(eta_grid)
-    overheads = _grid(overhead_grid)
-
-    def bus_for(eta: float, overhead: float):
-        if eta == 1.0 and overhead == 0.0:
-            return ideal_bus(bus_width_b, clock_mhz)
-        return calibrated_bus(eta, overhead, bus_width_b, clock_mhz)
+    etas = _grid(ETA_GRID)
+    overheads = _grid(OVERHEAD_GRID)
 
     s1_sims = {}
     if "s1" in targets:
         for oh in overheads:
-            s1_sims[oh] = _simulated_efficiency("s1", bus_for(1.0, oh))
+            s1_sims[oh] = _simulated_efficiency("s1", calibrated_bus(1.0, oh))
     stream_sims: dict[float, dict[str, float]] = {}
     stream_archs = [a for a in ("s2", "s3") if a in targets]
     if stream_archs:
         for eta in etas:
-            stream_sims[eta] = {a: _simulated_efficiency(a, bus_for(eta, 0.0))
+            bus = calibrated_bus(eta, 0.0)
+            stream_sims[eta] = {a: _simulated_efficiency(a, bus)
                                 for a in stream_archs}
 
     # Minimize the maximum relative error; ties go to the smaller error sum
@@ -128,7 +126,7 @@ def calibrate(targets: dict[str, float] | None = None,
                 best = (key, eta, oh)
 
     _, eta, overhead = best
-    bus = bus_for(eta, overhead)
+    bus = calibrated_bus(eta, overhead)
     simulated = {arch: _simulated_efficiency(arch, bus) for arch in sorted(targets)}
     residuals = {arch: abs(simulated[arch] - targets[arch]) / targets[arch]
                  for arch in simulated}

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .calibration import DEFAULT_TARGETS, calibrate
+from .calibration import DEFAULT_TARGETS, CalibrationResult, calibrate
 from .engines import build_engine
 from .experiment import (ConfigError, ExperimentConfig, OracleDivergenceError,
                          emit_report, load_config, run_experiment, run_sweep)
@@ -36,9 +36,16 @@ def _add_bus_flags(p: argparse.ArgumentParser) -> None:
 def _load_calibration(args):
     if args.calibration is None:
         return None
-    from .calibration import CalibrationResult
     with open(args.calibration, "r", encoding="utf-8") as fh:
-        result = CalibrationResult.from_dict(json.load(fh))
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError("calibration file must hold a single JSON object")
+    try:
+        result = CalibrationResult.from_dict(data)
+    except KeyError as exc:
+        raise ConfigError(f"calibration file lacks the key {exc}") from exc
+    except TypeError as exc:
+        raise ConfigError(f"malformed calibration file: {exc}") from exc
     if args.eta is None:
         args.eta = result.stream_efficiency
     if args.burst_overhead is None:
@@ -99,6 +106,14 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bus_config(args) -> dict:
+    """The config keys set by the bus flags (and a calibration file)."""
+    keys = {"bus_mode": args.bus, "stream_efficiency": args.eta,
+            "burst_overhead_cycles": args.burst_overhead,
+            "clock_mhz": args.clock, "bus_width_b": args.bus_width}
+    return {k: v for k, v in keys.items() if v is not None}
+
+
 def _config_from_args(args) -> ExperimentConfig:
     base = load_config(args.config).to_dict() if args.config else {}
     overrides = {
@@ -108,21 +123,15 @@ def _config_from_args(args) -> ExperimentConfig:
         "depth_n": args.depth,
         "word_width_w": args.width,
         "partitions_p": args.partitions,
-        "bus_mode": args.bus,
-        "stream_efficiency": args.eta,
-        "burst_overhead_cycles": args.burst_overhead,
-        "clock_mhz": args.clock,
-        "bus_width_b": args.bus_width,
         "seed": args.seed,
         "payload_path": None if args.payload is None else str(args.payload),
         "key_count": args.keys,
         "trace_path": None if args.trace is None else str(args.trace),
     }
     base.update({k: v for k, v in overrides.items() if v is not None})
+    base.update(_bus_config(args))
     if args.no_verify:
         base["verify_oracle"] = False
-    if base.get("trace_path"):
-        base["record_events"] = True
     return ExperimentConfig.from_dict(base)
 
 
@@ -153,13 +162,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     calibration = _load_calibration(args)
-    archs = tuple(a for a in args.archs.split(",") if a)
-    report = run_sweep(
-        architectures=archs, bus_mode=args.bus or "ideal",
-        stream_efficiency=args.eta, burst_overhead_cycles=args.burst_overhead,
-        seed=args.seed, key_count=args.keys,
-        bus_width_b=args.bus_width or 256, clock_mhz=args.clock or 100.0,
-        calibration=calibration)
+    base = ExperimentConfig.from_dict({
+        "architectures": [a for a in args.archs.split(",") if a],
+        "seed": args.seed, "key_count": args.keys, **_bus_config(args)})
+    report = run_sweep(base, calibration)
     _print_results(report)
     if args.out:
         path = emit_report(report, args.out, args.format)
@@ -170,6 +176,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     """Seeded random configurations, two consecutive updates each, checked
     against the reference CAM."""
+    if not 0 <= args.seed < 2 ** 64:
+        raise ConfigError("seed must be a 64-bit unsigned value")
+    if args.iterations < 0:
+        raise ConfigError("iterations must be >= 0")
+    if args.keys < 0:
+        raise ConfigError("keys must be >= 0")
     depths = (1024, 2048, 4096)
     widths = (8, 16, 32, 64)
     archs = ("s1", "s2", "s3")

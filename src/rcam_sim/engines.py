@@ -151,7 +151,6 @@ class _EngineBase:
         self.cam = RcamArray(geometry)
         self.eram = EraseStore(geometry)
         self.search_cycles = 0
-        self.updates_completed = 0
 
     # Searches are pure reads; one cycle is accounted per key.  They must not
     # run while an update is in flight except from a probe callback.
@@ -317,7 +316,6 @@ def _apply_update(engine: _EngineBase, payload, probe: Callable | None,
     if probe is not None:
         probe("after_erase", engine)
     engine.cam.apply_full_table(payload, 1)  # write pass
-    engine.updates_completed += 1
 
     total = int(writes.max()) + 1
     events = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,10 +66,11 @@ class ExperimentConfig:
     payload_path: str | None = None
     key_count: int = 1000
     verify_oracle: bool = True
-    record_events: bool = False
+    record_events: bool = field(init=False)  # exactly when a trace is written
     trace_path: str | None = None
 
     def __post_init__(self) -> None:
+        self.record_events = self.trace_path is not None
         self.architectures = tuple(self.architectures)
         for arch in self.architectures:
             if arch not in ARCHITECTURES:
@@ -104,11 +105,34 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        """Build a config from parsed JSON, checking every value's type.
+
+        ``record_events`` is accepted, so that the config a report embeds
+        round-trips, and ignored: it follows ``trace_path``.
+        """
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        for name, value in data.items():
+            _check_json_type(name, value, fields[name].type)
+        return cls(**{k: v for k, v in data.items() if k != "record_events"})
+
+
+# Value types accepted for each field annotation.
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+               "tuple[str, ...]": (list, tuple)}
+
+
+def _check_json_type(name: str, value, annotation: str) -> None:
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional:
+        return
+    # bool is an int subclass, but a JSON true is never a number.
+    if (not isinstance(value, _JSON_TYPES[kind])
+            or isinstance(value, bool) != (kind == "bool")):
+        raise ConfigError(
+            f"config key {name!r} must be {annotation}, got {value!r}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -243,15 +267,12 @@ def emit_report(report: EfficiencyReport, out_path, fmt: str = "json") -> Path:
 def _search_keys(seed: int, payload: np.ndarray, geometry: CamGeometry,
                  count: int) -> np.ndarray:
     """Deterministic key sample: half uniform, half drawn from the payload."""
-    if count == 0:
-        return np.empty(0, dtype=np.uint64)
     base = np.uint64(seed ^ 0xD6E8FEB86659FD93) + np.arange(count, dtype=np.uint64)
     keys = splitmix64(base) & np.uint64(geometry.word_mask)
     hits = count // 2
-    if hits and payload.size:
-        idx = (splitmix64(base[:hits] ^ np.uint64(0xA5A5A5A5A5A5A5A5))
-               % np.uint64(payload.size)).astype(np.intp)
-        keys[:hits] = payload[idx]
+    idx = (splitmix64(base[:hits] ^ np.uint64(0xA5A5A5A5A5A5A5A5))
+           % np.uint64(payload.size)).astype(np.intp)
+    keys[:hits] = payload[idx]
     return keys
 
 
@@ -286,48 +307,40 @@ def run_experiment(config: ExperimentConfig,
                 raise OracleDivergenceError(arch, geometry,
                                             verdict.first_divergence)
             oracle_info = {"keys_checked": verdict.keys_checked, "passed": True}
-        if config.trace_path and trace.events is not None:
+        if config.trace_path:
             tpath = Path(str(config.trace_path).replace("{arch}", arch))
             tpath.write_text(trace.to_jsonl(), encoding="utf-8")
         results.append(ArchResult(
             architecture=arch, geometry=geometry.describe(),
             bus=bus, total_cycles=trace.total_cycles,
-            trace=trace.summary(), resources=m10k_report(geometry, arch).to_dict(),
+            trace=trace.summary(),
+            resources=m10k_report((geometry.depth_n, geometry.word_width_w),
+                                  arch).to_dict(),
             oracle=oracle_info))
     return EfficiencyReport(
         config=config.to_dict(), bus=bus.describe(), results=results,
         calibration=calibration.to_dict() if calibration else None)
 
 
-def run_sweep(architectures=("s1", "s2", "s3"), bus_mode: str = "ideal",
-              stream_efficiency: float | None = None,
-              burst_overhead_cycles: float | None = None,
-              seed: int = 1, key_count: int = 256,
-              partitions_p: int = 8, bus_width_b: int = 256,
-              clock_mhz: float = 100.0, verify_oracle: bool = True,
+def run_sweep(base: ExperimentConfig,
               calibration: CalibrationResult | None = None) -> EfficiencyReport:
-    """Constant-table-size width sweep (one row per architecture x width)."""
+    """Constant-table-size width sweep (one row per architecture x width).
+
+    Every run is ``base`` with the depth and width of one sweep point.
+    """
     results = []
-    bus_desc = None
     for width in SWEEP_WIDTHS:
-        config = ExperimentConfig(
-            depth_n=SWEEP_TABLE_BITS // width, word_width_w=width,
-            bus_width_b=bus_width_b, partitions_p=partitions_p,
-            clock_mhz=clock_mhz, architectures=tuple(architectures),
-            bus_mode=bus_mode, stream_efficiency=stream_efficiency,
-            burst_overhead_cycles=burst_overhead_cycles, seed=seed,
-            key_count=key_count, verify_oracle=verify_oracle)
-        sub = run_experiment(config, calibration)
-        bus_desc = sub.bus
-        results.extend(sub.results)
+        config = replace(base, depth_n=SWEEP_TABLE_BITS // width,
+                         word_width_w=width)
+        results.extend(run_experiment(config, calibration).results)
     sweep_config = {
         "kind": "width_sweep", "table_bits": SWEEP_TABLE_BITS,
-        "widths": list(SWEEP_WIDTHS), "architectures": list(architectures),
-        "bus_mode": bus_mode, "stream_efficiency": stream_efficiency,
-        "burst_overhead_cycles": burst_overhead_cycles, "seed": seed,
-        "key_count": key_count, "partitions_p": partitions_p,
-        "bus_width_b": bus_width_b, "clock_mhz": clock_mhz,
+        "widths": list(SWEEP_WIDTHS), "architectures": list(base.architectures),
+        "bus_mode": base.bus_mode, "stream_efficiency": base.stream_efficiency,
+        "burst_overhead_cycles": base.burst_overhead_cycles, "seed": base.seed,
+        "key_count": base.key_count, "partitions_p": base.partitions_p,
+        "bus_width_b": base.bus_width_b, "clock_mhz": base.clock_mhz,
     }
     return EfficiencyReport(
-        config=sweep_config, bus=bus_desc, results=results,
+        config=sweep_config, bus=base.bus().describe(), results=results,
         calibration=calibration.to_dict() if calibration else None)

@@ -13,7 +13,8 @@ placement map
 
 where ``rcb`` indexes a sub-CAM block of ``k`` RCUs written in the same
 internal cycle, ``j`` is the slot (0..31) and ``i`` the RCU position within
-the block.  ``k`` is the number of words written per internal cycle:
+the block.  ``k`` is the number of words written per internal cycle, which
+the architecture fixes (:attr:`CamGeometry.words_per_beat_k` derives it):
 
     s1  k = 1            one word per erase/write pair (sequential fill)
     s2  k = B / W        one bus beat per cycle
@@ -44,16 +45,16 @@ class GeometryError(ValueError):
 class CamGeometry:
     """All structural parameters of one CAM instance.
 
-    ``words_per_beat_k`` is the internal write parallelism described above;
     ``partitions_p`` is the number of horizontally arranged erase-RAM
-    sub-memories (1 unless the architecture is s3).
+    sub-memories (1 unless the architecture is s3).  The internal write
+    parallelism ``words_per_beat_k`` described above is not a parameter: the
+    architecture, bus width, word width and partition count fix it.
     """
 
     architecture: str
     depth_n: int
     word_width_w: int
     bus_width_b: int = 256
-    words_per_beat_k: int = 1
     partitions_p: int = 1
 
     def __post_init__(self) -> None:
@@ -65,6 +66,8 @@ class CamGeometry:
             raise GeometryError("word_width_w must be a positive multiple of 8")
         if self.word_width_w > 64:
             raise GeometryError("word widths above 64 bits are not supported")
+        if self.bus_width_b <= 0:
+            raise GeometryError("bus width must be positive")
         if self.bus_width_b % self.word_width_w != 0:
             raise GeometryError(
                 f"bus width {self.bus_width_b} not divisible by word width "
@@ -72,16 +75,8 @@ class CamGeometry:
             )
         if self.partitions_p < 1 or self.partitions_p & (self.partitions_p - 1):
             raise GeometryError("partitions_p must be a power of two")
-        expected_k = {
-            "s1": 1,
-            "s2": self.bus_width_b // self.word_width_w,
-            "s3": self.partitions_p * self.bus_width_b // self.word_width_w,
-        }[self.architecture]
-        if self.words_per_beat_k != expected_k:
-            raise GeometryError(
-                f"words_per_beat_k={self.words_per_beat_k} inconsistent with "
-                f"{self.architecture} (expected {expected_k})"
-            )
+        if self.architecture != "s3" and self.partitions_p != 1:
+            raise GeometryError("partitions_p > 1 is only meaningful for s3")
         group = RCU_SLOTS * self.words_per_beat_k
         if self.depth_n % group != 0:
             raise GeometryError(
@@ -89,18 +84,15 @@ class CamGeometry:
             )
         if (self.depth_n * self.word_width_w) % self.bus_width_b != 0:
             raise GeometryError("table size must be a whole number of bus beats")
-        if self.architecture != "s3" and self.partitions_p != 1:
-            raise GeometryError("partitions_p > 1 is only meaningful for s3")
 
     # -- derived quantities -------------------------------------------------
 
     @property
-    def rcu_rows(self) -> int:
-        return RCU_ROWS
-
-    @property
-    def rcu_slots(self) -> int:
-        return RCU_SLOTS
+    def words_per_beat_k(self) -> int:
+        """Words written per internal cycle: 1 for s1, P*B/W otherwise."""
+        if self.architecture == "s1":
+            return 1
+        return self.partitions_p * self.bus_width_b // self.word_width_w
 
     @property
     def slices(self) -> int:
@@ -159,7 +151,7 @@ def feasible_partitions(depth_n: int, word_width_w: int, bus_width_b: int = 256,
     """Largest power-of-two partition count <= requested that still leaves at
     least one whole sub-CAM block (32*k words must not exceed the table)."""
     p = requested
-    while p > 1 and RCU_SLOTS * p * bus_width_b // word_width_w > depth_n:
+    while p > 1 and RCU_SLOTS * p * bus_width_b > depth_n * word_width_w:
         p //= 2
     return p
 
@@ -172,19 +164,13 @@ def geometry_for(architecture: str, depth_n: int, word_width_w: int,
     is too small for the requested width expansion; s1 and s2 ignore
     ``partitions_p``.
     """
-    if architecture == "s1":
-        return CamGeometry(architecture, depth_n, word_width_w, bus_width_b,
-                           words_per_beat_k=1, partitions_p=1)
-    if architecture == "s2":
-        return CamGeometry(architecture, depth_n, word_width_w, bus_width_b,
-                           words_per_beat_k=bus_width_b // word_width_w,
-                           partitions_p=1)
     if architecture == "s3":
-        p = feasible_partitions(depth_n, word_width_w, bus_width_b, partitions_p)
-        return CamGeometry(architecture, depth_n, word_width_w, bus_width_b,
-                           words_per_beat_k=p * bus_width_b // word_width_w,
-                           partitions_p=p)
-    raise GeometryError(f"unknown architecture {architecture!r}")
+        partitions_p = feasible_partitions(depth_n, word_width_w, bus_width_b,
+                                           partitions_p)
+    else:
+        partitions_p = 1
+    return CamGeometry(architecture, depth_n, word_width_w, bus_width_b,
+                       partitions_p)
 
 
 def map_word_index(geometry: CamGeometry, word: int) -> tuple[int, int, int]:

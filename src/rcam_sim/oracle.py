@@ -58,9 +58,6 @@ class EquivalenceResult:
     keys_checked: int
     first_divergence: tuple[int, int] | None  # (key, word index)
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def equivalence_check(system, reference: ReferenceCam, keys) -> EquivalenceResult:
     """Compare a CAM system against the reference over a key sample.

@@ -140,12 +140,11 @@ class RcamArray:
 def extract_match_addresses(match: np.ndarray, mode: str = "all") -> list[int]:
     """Set-bit positions of a match vector, ascending.
 
-    ``mode='first'`` (alias ``'first-only'``) plays the priority-encoder
-    role: lowest index or empty.
+    ``mode='first'`` plays the priority-encoder role: lowest index or empty.
     """
-    if mode not in ("all", "first", "first-only"):
+    if mode not in ("all", "first"):
         raise ValueError(f"mode must be 'all' or 'first', got {mode!r}")
     hits = np.flatnonzero(np.asarray(match))
-    if mode != "all":
+    if mode == "first":
         return [int(hits[0])] if hits.size else []
     return [int(h) for h in hits]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import M10K_BITS, RCU_SLOTS, SUB_WORD_BITS, CamGeometry, GeometryError
+from .geometry import M10K_BITS, RCU_SLOTS, SUB_WORD_BITS, GeometryError
 
 # Device capacity back-derived from a 74% utilization at 2,112 blocks.
 DEVICE_M10K_BLOCKS = 2854
@@ -63,13 +63,6 @@ class ResourceReport:
         return d
 
 
-def _shape(geometry) -> tuple[int, int]:
-    if isinstance(geometry, CamGeometry):
-        return geometry.depth_n, geometry.word_width_w
-    depth_n, word_width_w = geometry
-    return depth_n, word_width_w
-
-
 def _blocks(depth_n: int, word_width_w: int, architecture: str) -> tuple[int, int]:
     if depth_n % RCU_SLOTS:
         raise GeometryError(f"depth {depth_n} not divisible by {RCU_SLOTS}")
@@ -83,13 +76,9 @@ def _blocks(depth_n: int, word_width_w: int, architecture: str) -> tuple[int, in
     raise GeometryError(f"unknown architecture {architecture!r}")
 
 
-def m10k_report(geometry, architecture: str) -> ResourceReport:
-    """Block counts for one architecture at one geometry.
-
-    ``geometry`` is a :class:`CamGeometry` or a (depth, width) pair; only the
-    table shape matters.
-    """
-    depth_n, word_width_w = _shape(geometry)
+def m10k_report(shape: tuple[int, int], architecture: str) -> ResourceReport:
+    """Block counts for one architecture at one (depth, width) table shape."""
+    depth_n, word_width_w = shape
     rcu, erase = _blocks(depth_n, word_width_w, architecture)
     table_bits = depth_n * word_width_w
     if architecture == "s1":

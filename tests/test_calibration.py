@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from rcam_sim.calibration import (DEFAULT_CALIBRATED_ETA,
@@ -32,6 +35,13 @@ def test_residuals_are_reported_not_hidden(default_fit):
     d = default_fit.to_dict()
     assert d["residuals"] == default_fit.residuals
     assert d["targets"] == {"s1": 0.101, "s2": 0.498, "s3": 0.968}
+
+
+def test_default_fit_is_pinned(default_fit):
+    # SHA-256 of the file that `calibrate --out` writes for the default fit.
+    text = json.dumps(default_fit.to_dict(), indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "82e92698d4d2a5ae9910c1b3cc7b7c1a6cc66448239bc60d34fd7812c9672318")
 
 
 def test_perfect_targets_fit_ideal_knobs():

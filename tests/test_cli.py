@@ -54,6 +54,18 @@ def test_run_rejects_bad_geometry(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["run", "--arch", "s3", "--width", "0"],
+    ["run", "--bus-width", "0"],
+    ["sweep", "--bus-width", "0"],
+    ["sweep", "--clock", "0"],
+], ids=["s3-zero-width", "zero-bus-width", "sweep-zero-bus-width",
+        "sweep-zero-clock"])
+def test_zero_sizes_are_rejected(capsys, flags):
+    assert main(flags) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_calibrated_bus_flags(tmp_path):
     out = tmp_path / "r.json"
     rc = main(["run", "--arch", "s2", "--depth", "1024", "--width", "8",
@@ -98,6 +110,53 @@ def test_verify_subcommand(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "match the reference" in out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "seed must be a 64-bit unsigned value"),
+    (["--seed", str(2 ** 64)], "seed must be a 64-bit unsigned value"),
+    (["--iterations", "-3"], "iterations must be >= 0"),
+    (["--keys", "-5"], "keys must be >= 0"),
+], ids=["negative-seed", "seed-2**64", "negative-iterations", "negative-keys"])
+def test_verify_rejects_out_of_range_inputs(capsys, flags, message):
+    assert main(["verify", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"depth_n": "abc"}, "config key 'depth_n' must be int, got 'abc'"),
+    ({"key_count": None}, "config key 'key_count' must be int, got None"),
+], ids=["string-depth", "null-key-count"])
+def test_run_rejects_malformed_config_file(tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+CALIBRATION = {"stream_efficiency": 0.976, "burst_overhead_cycles": 1.9,
+               "simulated": {}, "targets": {}, "residuals": {},
+               "max_residual": 0.0}
+
+
+@pytest.mark.parametrize("content, message", [
+    ({k: v for k, v in CALIBRATION.items() if k != "burst_overhead_cycles"},
+     "calibration file lacks the key 'burst_overhead_cycles'"),
+    ([0.976, 1.9], "calibration file must hold a single JSON object"),
+    ({**CALIBRATION, "simulated": 5},
+     "malformed calibration file: 'int' object is not iterable"),
+    ({**CALIBRATION, "stream_efficiency": "fast"},
+     "config key 'stream_efficiency' must be float | None, got 'fast'"),
+], ids=["missing-key", "json-list", "bad-residual-table", "string-eta"])
+def test_run_rejects_malformed_calibration_file(tmp_path, capsys, content,
+                                                message):
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps(content))
+    assert main(["run", "--arch", "s2", "--depth", "1024",
+                 "--calibration", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_calibrate_subcommand(tmp_path, capsys):

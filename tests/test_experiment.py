@@ -76,7 +76,7 @@ def test_json_report_round_trips_numerics(tmp_path):
 
 
 def test_csv_row_count_and_reparse(tmp_path):
-    report = run_sweep(architectures=("s1", "s2", "s3"), key_count=16)
+    report = run_sweep(ExperimentConfig(key_count=16))
     text = report_csv(report)
     lines = text.strip().splitlines()
     assert len(lines) == 1 + 3 * 4  # header + architectures x widths
@@ -92,7 +92,8 @@ def test_csv_row_count_and_reparse(tmp_path):
 
 
 def test_sweep_width_invariance_ideal():
-    report = run_sweep(architectures=("s2", "s3"), key_count=16)
+    report = run_sweep(ExperimentConfig(architectures=("s2", "s3"),
+                                        key_count=16))
     for arch in ("s2", "s3"):
         effs = [r.io_efficiency() for r in report.results
                 if r.architecture == arch]
@@ -112,13 +113,28 @@ def test_payload_file_source(tmp_path):
 
 def test_trace_emission(tmp_path):
     config = ExperimentConfig(**SMALL, architectures=("s2", "s3"),
-                              record_events=True,
                               trace_path=str(tmp_path / "t_{arch}.jsonl"))
     run_experiment(config)
     for arch in ("s2", "s3"):
         lines = (tmp_path / f"t_{arch}.jsonl").read_text().splitlines()
         assert json.loads(lines[0])["kind"] == "trace_summary"
         assert json.loads(lines[1])["cycle"] == 0
+
+
+def test_trace_path_alone_records_events(tmp_path):
+    config = ExperimentConfig(**SMALL, architectures=("s1",),
+                              verify_oracle=False,
+                              trace_path=str(tmp_path / "t.jsonl"))
+    assert config.record_events
+    report = run_experiment(config)
+    lines = (tmp_path / "t.jsonl").read_text().splitlines()
+    assert len(lines) == 1 + 2 * 1024 + 1024 * 8 // 256  # summary + events
+    # The embedded config prints the derived flag and round-trips.
+    assert report.config["record_events"] is True
+    assert ExperimentConfig.from_dict(report.config) == config
+    # Without a trace path no events are recorded, whatever the key says.
+    quiet = ExperimentConfig.from_dict({**report.config, "trace_path": None})
+    assert not quiet.record_events
 
 
 def test_oracle_divergence_aborts(monkeypatch):

@@ -77,17 +77,25 @@ def test_map_range_errors():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(architecture="s2", depth_n=1000, word_width_w=8, words_per_beat_k=32),
-    dict(architecture="s2", depth_n=1024, word_width_w=24, words_per_beat_k=10),
-    dict(architecture="s2", depth_n=1024, word_width_w=8, words_per_beat_k=16),
-    dict(architecture="s1", depth_n=1024, word_width_w=8, words_per_beat_k=1,
-         partitions_p=4),
-    dict(architecture="s3", depth_n=1024, word_width_w=8, words_per_beat_k=96,
-         partitions_p=3),
+    dict(architecture="s2", depth_n=1000, word_width_w=8),
+    dict(architecture="s2", depth_n=1024, word_width_w=24),
+    dict(architecture="s2", depth_n=1024, word_width_w=8, bus_width_b=0),
+    dict(architecture="s1", depth_n=1024, word_width_w=8, partitions_p=4),
+    dict(architecture="s3", depth_n=1024, word_width_w=8, partitions_p=3),
 ])
 def test_invalid_geometries(kwargs):
     with pytest.raises(GeometryError):
         CamGeometry(**kwargs)
+
+
+def test_k_follows_architecture_bus_and_partitions():
+    assert CamGeometry("s1", 1024, 64, 512).words_per_beat_k == 1
+    assert CamGeometry("s2", 1024, 16, 512).words_per_beat_k == 32
+    assert CamGeometry("s3", 1024, 64, partitions_p=2).words_per_beat_k == 8
+    # The partition check runs before k is read: at P = 2, an s2 k of 64
+    # would otherwise fail the depth divisibility first.
+    with pytest.raises(GeometryError, match="only meaningful for s3"):
+        CamGeometry("s2", 1024, 8, partitions_p=2)
 
 
 def test_partition_clamping():

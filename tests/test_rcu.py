@@ -161,7 +161,6 @@ def test_extract_match_addresses():
     vec[7] = vec[7000] = True
     assert extract_match_addresses(vec, "all") == [7, 7000]
     assert extract_match_addresses(vec, "first") == [7]
-    assert extract_match_addresses(vec, "first-only") == [7]
     with pytest.raises(ValueError):
         extract_match_addresses(vec, "last")
 

@@ -1,6 +1,6 @@
 import pytest
 
-from rcam_sim.geometry import GeometryError, geometry_for
+from rcam_sim.geometry import GeometryError
 from rcam_sim.resources import (DEVICE_M10K_BLOCKS, REFERENCE_PLACE_AND_ROUTE,
                                 m10k_report, memory_saving)
 
@@ -68,11 +68,6 @@ def test_saving_converges_to_31_64ths_from_below():
         assert saving >= previous - 1e-12
         previous = saving
     assert m10k_report((1 << 16, 8), "s2").saving_vs_s1 == pytest.approx(limit)
-
-
-def test_geometry_object_accepted():
-    g = geometry_for("s3", 65536, 8)
-    assert m10k_report(g, "s3").total_m10k == 2112
 
 
 def test_divisibility_errors():
