@@ -13,7 +13,7 @@ from .geometry import (CamGeometry, GeometryError, geometry_for,
                        map_word_index, word_index_of)
 from .oracle import EquivalenceResult, ReferenceCam, equivalence_check
 from .payload import generate_payload, load_payload, save_payload
-from .rcu import RcamArray, extract_match_addresses
+from .rcu import RcamArray
 from .resources import ResourceReport, m10k_report, memory_saving
 
 __all__ = [
@@ -30,6 +30,6 @@ __all__ = [
     "map_word_index", "word_index_of",
     "EquivalenceResult", "ReferenceCam", "equivalence_check",
     "generate_payload", "load_payload", "save_payload",
-    "RcamArray", "extract_match_addresses",
+    "RcamArray",
     "ResourceReport", "m10k_report", "memory_saving",
 ]

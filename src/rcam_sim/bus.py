@@ -77,11 +77,6 @@ class BusModel:
         object.__setattr__(self, "burst_overhead_cycles", _quantise(
             self.burst_overhead_cycles, OVERHEAD_RESOLUTION))
 
-    @property
-    def theoretical_bandwidth_gbps(self) -> float:
-        """Peak rate: bus width times clock (25.6 Gbps at 256 bits, 100 MHz)."""
-        return self.bus_width_b * self.clock_mhz / 1000.0
-
     def describe(self) -> dict:
         return {
             "mode": self.mode,

@@ -13,7 +13,7 @@ from ._version import __version__
 from .calibration import DEFAULT_TARGETS, CalibrationResult, calibrate
 from .engines import build_engine
 from .experiment import (ConfigError, ExperimentConfig, OracleDivergenceError,
-                         emit_report, load_config, run_experiment, run_sweep)
+                         emit_report, read_config, run_experiment, run_sweep)
 from .geometry import GeometryError, geometry_for
 from .oracle import ReferenceCam, equivalence_check
 from .payload import generate_payload, splitmix64
@@ -115,7 +115,8 @@ def _bus_config(args) -> dict:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    base = load_config(args.config).to_dict() if args.config else {}
+    # Flags override the file's raw values; defaults derive from the merge.
+    base = read_config(args.config) if args.config else {}
     overrides = {
         "architectures": (None if args.arch is None else
                           ("s1", "s2", "s3") if args.arch == "all"

@@ -150,18 +150,14 @@ class _EngineBase:
         self.record_events = record_events
         self.cam = RcamArray(geometry)
         self.eram = EraseStore(geometry)
-        self.search_cycles = 0
 
-    # Searches are pure reads; one cycle is accounted per key.  They must not
-    # run while an update is in flight except from a probe callback.
+    # Searches are pure reads.  They must not run while an update is in
+    # flight except from a probe callback.
     def search(self, key: int) -> np.ndarray:
         self._check_key(key)
-        self.search_cycles += 1
         return self.cam.search(key)
 
     def search_batch(self, keys) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.uint64)
-        self.search_cycles += keys.size
         return self.cam.search_batch(keys)
 
     def _check_key(self, key: int) -> None:
@@ -193,13 +189,16 @@ class S1Engine(_EngineBase):
         return 2 * self.geometry.depth_n
 
     def update(self, payload, probe: Callable | None = None) -> UpdateTrace:
+        # Erase and write interleave per word, so no all-erased state exists
+        # for a probe to observe.
+        if probe is not None:
+            raise EngineError("s1 has no all-erased state to probe")
         g = self.geometry
         wb = g.words_per_bus_beat
         starts = demand_schedule(self.bus, g.beat_count, 2 * wb,
                                  self.prefetch_one_beat)
         # Word o of a beat is erased 2*o cycles into the beat and written
-        # the cycle after.  Erase and write interleave per word, so no
-        # all-erased state exists for a probe to observe.
+        # the cycle after.
         erases = (starts[:, None] + 2 * np.arange(wb)).ravel()
         return _apply_update(self, payload, None, starts, erases, erases + 1)
 

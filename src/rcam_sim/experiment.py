@@ -23,7 +23,8 @@ from .bus import (BusModel, calibrated_bus, ideal_bus, update_io_efficiency,
 from .calibration import (DEFAULT_CALIBRATED_ETA, DEFAULT_CALIBRATED_OVERHEAD,
                           CalibrationResult)
 from .engines import build_engine
-from .geometry import ARCHITECTURES, CamGeometry, geometry_for
+from .geometry import (ARCHITECTURES, CamGeometry, feasible_partitions,
+                       geometry_for)
 from .oracle import ReferenceCam, equivalence_check
 from .payload import generate_payload, load_payload, splitmix64
 from .resources import m10k_report
@@ -83,6 +84,13 @@ class ExperimentConfig:
             raise ConfigError("key_count must be >= 0")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be a 64-bit unsigned value")
+        # The shipped calibration fills unset bus knobs, so a report's
+        # config prints the knobs that are simulated.
+        if self.bus_mode == "calibrated":
+            if self.stream_efficiency is None:
+                self.stream_efficiency = DEFAULT_CALIBRATED_ETA
+            if self.burst_overhead_cycles is None:
+                self.burst_overhead_cycles = DEFAULT_CALIBRATED_OVERHEAD
         # Geometry constraints surface now, not mid-run.
         for arch in self.architectures:
             geometry_for(arch, self.depth_n, self.word_width_w,
@@ -91,16 +99,19 @@ class ExperimentConfig:
     def bus(self) -> BusModel:
         if self.bus_mode == "ideal":
             return ideal_bus(self.bus_width_b, self.clock_mhz)
-        eta = (DEFAULT_CALIBRATED_ETA if self.stream_efficiency is None
-               else self.stream_efficiency)
-        overhead = (DEFAULT_CALIBRATED_OVERHEAD
-                    if self.burst_overhead_cycles is None
-                    else self.burst_overhead_cycles)
-        return calibrated_bus(eta, overhead, self.bus_width_b, self.clock_mhz)
+        return calibrated_bus(self.stream_efficiency,
+                              self.burst_overhead_cycles, self.bus_width_b,
+                              self.clock_mhz)
 
     def to_dict(self) -> dict:
         d = asdict(self)
         d["architectures"] = list(self.architectures)
+        # Print the s3 partition count simulated, which the table may clamp;
+        # the field keeps the request, for configs derived at another size.
+        if "s3" in self.architectures:
+            d["partitions_p"] = feasible_partitions(
+                self.depth_n, self.word_width_w, self.bus_width_b,
+                self.partitions_p)
         return d
 
     @classmethod
@@ -135,12 +146,17 @@ def _check_json_type(name: str, value, annotation: str) -> None:
             f"config key {name!r} must be {annotation}, got {value!r}")
 
 
-def load_config(path) -> ExperimentConfig:
+def read_config(path) -> dict:
+    """The JSON object of a config file, for ``ExperimentConfig.from_dict``."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a single JSON object")
-    return ExperimentConfig.from_dict(data)
+    return data
+
+
+def load_config(path) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(read_config(path))
 
 
 @dataclass

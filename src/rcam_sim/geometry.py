@@ -130,9 +130,6 @@ class CamGeometry:
     def word_mask(self) -> int:
         return (1 << self.word_width_w) - 1
 
-    def rcu_flat_index(self, rcb: int, position: int, slice_no: int) -> int:
-        return (rcb * self.words_per_beat_k + position) * self.slices + slice_no
-
     def describe(self) -> dict:
         return {
             "architecture": self.architecture,

@@ -6,6 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Bytes of one (keys, N) boolean match array that equivalence_check builds
+# per side at a time: verification memory stays flat as keys grow.
+_COMPARE_BYTES = 1 << 24
+
 
 class ReferenceCam:
     """Plain word table searched by linear scan, O(N) per key by design."""
@@ -64,6 +68,7 @@ def equivalence_check(system, reference: ReferenceCam, keys) -> EquivalenceResul
 
     ``system`` needs a ``search_batch`` returning boolean match vectors and a
     ``geometry``; on the first diverging (key, index) the verdict carries it.
+    Keys are compared in chunks of at most ``_COMPARE_BYTES // N``.
     """
     g = system.geometry
     if (g.depth_n, g.word_width_w) != (reference.depth_n, reference.word_width_w):
@@ -71,12 +76,17 @@ def equivalence_check(system, reference: ReferenceCam, keys) -> EquivalenceResul
             f"shape mismatch: system {g.depth_n}x{g.word_width_w}, "
             f"reference {reference.depth_n}x{reference.word_width_w}")
     keys = np.asarray(keys, dtype=np.uint64)
-    got = system.search_batch(keys)
-    want = reference.search_batch(keys)
-    if got.shape != want.shape:
-        raise ValueError(f"match shape mismatch: {got.shape} vs {want.shape}")
-    diff = got != want
-    if diff.any():
-        ki, wi = np.argwhere(diff)[0]
-        return EquivalenceResult(False, keys.size, (int(keys[ki]), int(wi)))
+    step = max(1, _COMPARE_BYTES // g.depth_n)
+    for start in range(0, keys.size, step):
+        chunk = keys[start:start + step]
+        got = system.search_batch(chunk)
+        want = reference.search_batch(chunk)
+        if got.shape != want.shape:
+            raise ValueError(
+                f"match shape mismatch: {got.shape} vs {want.shape}")
+        diff = got != want
+        if diff.any():
+            ki, wi = np.argwhere(diff)[0]
+            return EquivalenceResult(False, keys.size,
+                                     (int(chunk[ki]), int(wi)))
     return EquivalenceResult(True, keys.size, None)

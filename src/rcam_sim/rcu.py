@@ -6,15 +6,15 @@ port sets or clears a single cell; searching reads a whole row and yields a
 32-bit per-slot match vector.
 
 :class:`RcamArray` is the full grid of RCUs for a geometry.  It stores every
-RCU row-packed in one numpy array (row value -> 32-bit slot mask).  The
-engines' erase and write passes touch the cells of a whole table at once
-(:meth:`RcamArray.apply_full_table`), or of one word (``apply_word``);
-searches AND the slices' packed slot masks, then unpack to word order.
+RCU row-packed in one numpy array (row value -> 32-bit slot mask).  Erase and
+write are the same port operation with a different bit, so one private
+primitive, ``RcamArray._apply``, does every cell write: for a whole table
+(:meth:`RcamArray.apply_full_table`, the engines' erase and write passes) and
+for one word (``apply_word``).  Searches AND the slices' packed slot masks,
+then unpack to word order.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -22,71 +22,63 @@ from .geometry import (RCU_ROWS, RCU_SLOTS, SUB_WORD_BITS, CamGeometry,
                        map_word_index)
 
 _SLOT_SHIFTS = np.arange(RCU_SLOTS, dtype=np.uint32)
+_SLOT_MASKS = np.uint32(1) << _SLOT_SHIFTS
 
 
 class RcamArray:
     """The complete RCU grid of one CAM instance.
 
-    Layout: ``cells[flat, row]`` is the 32-bit slot mask of RCU ``flat`` at
-    row ``row``, with ``flat = (rcb * k + position) * slices + slice_no``.
+    Layout: ``cells[unit * slices + slice_no, row]`` is the 32-bit slot mask
+    of one RCU at row ``row``, where ``unit = rcb * k + position`` numbers
+    the (rcb, position) units.
     """
 
     def __init__(self, geometry: CamGeometry):
         self.geometry = geometry
         self.cells = np.zeros((geometry.rcu_count, RCU_ROWS), dtype=np.uint32)
-        # RCU flat ids of one slice, ordered (rcb, position); the same order
-        # every slot group uses.
-        k = geometry.words_per_beat_k
-        base = (np.arange(geometry.rcb_count)[:, None] * k
-                + np.arange(k)[None, :]).ravel() * geometry.slices
-        self._slice_ids = [base + c for c in range(geometry.slices)]
 
-    # -- bulk erase/write (engines) -------------------------------------------
+    # -- erase/write -----------------------------------------------------------
 
-    def _sub_words(self, values: np.ndarray, slice_no: int) -> np.ndarray:
-        return ((values >> np.uint64(SUB_WORD_BITS * slice_no))
-                & np.uint64(0xFF)).astype(np.intp)
+    def _apply(self, units, masks, values, bit: int) -> None:
+        """Set (bit=1) or clear (bit=0) one cell per word and byte slice.
+
+        ``units`` (intp, so adding a uint8 row cannot wrap), ``masks`` (32-bit
+        slot masks) and ``values`` broadcast, one per word.  ``ufunc.at`` is
+        unbuffered, so words that share a cell all land.
+        """
+        g = self.geometry
+        flat = self.cells.reshape(-1)
+        base = units * (g.slices * RCU_ROWS)
+        op, masks = (np.bitwise_or, masks) if bit else (np.bitwise_and, ~masks)
+        for c in range(g.slices):
+            rows = (values >> np.uint64(SUB_WORD_BITS * c)).astype(np.uint8)
+            op.at(flat, base + c * RCU_ROWS + rows, masks)
 
     def apply_full_table(self, values: np.ndarray, bit: int) -> None:
         """Set (bit=1) or clear (bit=0) the cell of every word in the table.
 
         ``values[v]`` is the word whose cells are touched at global index v.
-        Grouped by slot so each fancy-indexed op hits unique (rcu, row) pairs.
         """
         g = self.geometry
-        grouped = values.reshape(g.rcb_count, RCU_SLOTS, g.words_per_beat_k)
-        for slot in range(RCU_SLOTS):
-            self._apply_slot(grouped[:, slot, :].ravel(), slot, bit)
+        k = g.words_per_beat_k
+        self._apply(np.arange(g.rcb_count * k).reshape(g.rcb_count, 1, k),
+                    _SLOT_MASKS[None, :, None],
+                    values.reshape(g.rcb_count, RCU_SLOTS, k), bit)
 
     def apply_word(self, word: int, value: int, bit: int) -> None:
-        g = self.geometry
-        rcb, slot, pos = map_word_index(g, word)
-        mask = np.uint32(1 << slot)
-        for c in range(g.slices):
-            flat = g.rcu_flat_index(rcb, pos, c)
-            row = (value >> (SUB_WORD_BITS * c)) & 0xFF
-            if bit:
-                self.cells[flat, row] |= mask
-            else:
-                self.cells[flat, row] &= ~mask
-
-    def _apply_slot(self, values: np.ndarray, slot: int, bit: int) -> None:
-        mask = np.uint32(1 << slot)
-        for c, ids in enumerate(self._slice_ids):
-            rows = self._sub_words(values, c)
-            if bit:
-                self.cells[ids, rows] |= mask
-            else:
-                self.cells[ids, rows] &= ~mask
+        rcb, slot, pos = map_word_index(self.geometry, word)
+        self._apply(np.intp(rcb * self.geometry.words_per_beat_k + pos),
+                    _SLOT_MASKS[slot], np.uint64(value), bit)
 
     # -- search ----------------------------------------------------------------
 
     def slice_match(self, slice_no: int, sub_key: int) -> np.ndarray:
         """Length-N match vector of one byte slice, in global word order."""
+        if not 0 <= slice_no < self.geometry.slices:
+            raise ValueError(f"slice_no {slice_no} out of range")
         if not 0 <= sub_key < RCU_ROWS:
             raise ValueError(f"sub_key {sub_key} out of range")
-        packed = self.cells[self._slice_ids[slice_no], sub_key]
-        return self._unpack(packed[:, None])[0]
+        return self._unpack(self._gather(slice_no, np.array([sub_key])))[0]
 
     def search(self, key: int) -> np.ndarray:
         """Length-N boolean match vector for a full-width key."""
@@ -107,9 +99,13 @@ class RcamArray:
         packed = None
         for c in range(g.slices):
             sub = ((keys >> np.uint64(SUB_WORD_BITS * c)) & np.uint64(0xFF))
-            rows = self.cells[self._slice_ids[c][:, None], sub[None, :].astype(np.intp)]
+            rows = self._gather(c, sub.astype(np.intp))
             packed = rows if packed is None else packed & rows
         return self._unpack(packed)
+
+    def _gather(self, slice_no: int, rows: np.ndarray) -> np.ndarray:
+        """(rcb*k, len(rows)) packed slot masks of one slice at ``rows``."""
+        return self.cells[slice_no::self.geometry.slices].take(rows, axis=1)
 
     def _unpack(self, packed: np.ndarray) -> np.ndarray:
         """(rcb*k, nk) packed slot masks -> (nk, N) boolean word matches."""
@@ -133,18 +129,3 @@ class RcamArray:
         bits = (self.cells[:, :, None] >> _SLOT_SHIFTS[None, None, :]) & 1
         return bits.sum(axis=1, dtype=np.int64)
 
-    def state_digest(self) -> str:
-        return hashlib.sha256(self.cells.tobytes()).hexdigest()
-
-
-def extract_match_addresses(match: np.ndarray, mode: str = "all") -> list[int]:
-    """Set-bit positions of a match vector, ascending.
-
-    ``mode='first'`` plays the priority-encoder role: lowest index or empty.
-    """
-    if mode not in ("all", "first"):
-        raise ValueError(f"mode must be 'all' or 'first', got {mode!r}")
-    hits = np.flatnonzero(np.asarray(match))
-    if mode == "first":
-        return [int(hits[0])] if hits.size else []
-    return [int(h) for h in hits]

@@ -4,14 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcam_sim.bus import (BusError, BusModel, IDEAL_BUS, StallSequence,
-                          calibrated_bus, demand_schedule, ideal_bus,
-                          stream_schedule, update_io_efficiency,
-                          update_throughput_gbps)
-
-
-def test_theoretical_bandwidth():
-    assert IDEAL_BUS.theoretical_bandwidth_gbps == pytest.approx(25.6)
-    assert ideal_bus(128, 200).theoretical_bandwidth_gbps == pytest.approx(25.6)
+                          calibrated_bus, demand_schedule, stream_schedule,
+                          update_io_efficiency, update_throughput_gbps)
 
 
 def test_bus_validation():

@@ -40,6 +40,23 @@ def test_run_with_config_file_and_overrides(tmp_path):
     assert parsed["config"]["depth_n"] == 1024
 
 
+def test_run_derives_config_defaults_after_the_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"depth_n": 1024, "word_width_w": 8,
+                               "architectures": ["s3"], "key_count": 16,
+                               "bus_mode": "calibrated"}))
+    out = tmp_path / "r.json"
+    # 1024x8 allows s3 one partition, 1024x64 all eight
+    assert main(["run", "--config", str(cfg), "--width", "64",
+                 "--bus", "ideal", "--out", str(out)]) == 0
+    parsed = json.loads(out.read_text())
+    assert parsed["results"][0]["geometry"]["partitions_p"] == 8
+    assert parsed["config"]["partitions_p"] == 8
+    # the ideal bus was simulated, so no calibrated knob is printed
+    assert parsed["config"]["stream_efficiency"] is None
+    assert parsed["config"]["burst_overhead_cycles"] is None
+
+
 def test_run_trace_flag(tmp_path):
     trace = tmp_path / "trace_{arch}.jsonl"
     rc = main(["run", "--arch", "s3", "--depth", "1024", "--width", "64",

@@ -283,13 +283,12 @@ def test_s1_incremental_word_update():
         engine.update_word(0, 1 << 16)
 
 
-def test_search_cycle_accounting():
-    g = geometry_for("s2", 1024, 8)
+def test_s1_rejects_a_probe():
+    # s1 erases and writes word by word: no all-erased state exists
+    g = geometry_for("s1", 1024, 8)
     engine = build_engine(g)
-    engine.update(generate_payload(1, g))
-    engine.search(1)
-    engine.search_batch(np.arange(10, dtype=np.uint64))
-    assert engine.search_cycles == 11
+    with pytest.raises(EngineError, match="all-erased"):
+        engine.update(generate_payload(1, g), probe=lambda stage, eng: None)
 
 
 def test_rejects_bad_payloads_and_keys():

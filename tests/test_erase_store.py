@@ -69,8 +69,8 @@ def test_per_unit_bank_round_trip():
     v = 517
     for c in range(g.slices):
         sub = (int(words[v]) >> (8 * c)) & 0xFF
-        flat = g.rcu_flat_index(v // 32, 0, c)
-        assert engine.cam.cells[flat, sub] == 1 << (v % 32)
+        # the s1 unit of word v is v // 32, its slices adjacent rows
+        assert engine.cam.cells[(v // 32) * g.slices + c, sub] == 1 << (v % 32)
 
 
 def test_central_load_returns_old_row():

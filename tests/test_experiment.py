@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,3 +167,35 @@ def test_calibrated_mode_uses_shipped_defaults():
     assert bus.mode == "calibrated"
     assert bus.stream_efficiency == pytest.approx(0.976)
     assert bus.burst_overhead_cycles == pytest.approx(1.9)
+    # the report's config prints the knobs that were simulated
+    report = run_experiment(config)
+    assert report.config["stream_efficiency"] == report.bus[
+        "stream_efficiency"] == 0.976
+    assert report.config["burst_overhead_cycles"] == report.bus[
+        "burst_overhead_cycles"] == 1.9
+    # the ideal bus has no knobs to print
+    ideal = ExperimentConfig(**SMALL)
+    assert ideal.stream_efficiency is None
+    assert ideal.burst_overhead_cycles is None
+
+
+def test_s3_config_prints_the_simulated_partition_count():
+    config = ExperimentConfig(**SMALL, architectures=("s3",))
+    report = run_experiment(config)
+    assert report.config["partitions_p"] == 1
+    assert report.results[0].geometry["partitions_p"] == 1
+    # the config keeps the request: a later, larger table gets all eight
+    assert config.partitions_p == 8
+    wide = run_experiment(replace(config, word_width_w=64))
+    assert wide.config["partitions_p"] == 8
+    assert wide.results[0].geometry["partitions_p"] == 8
+    # no s3, nothing to clamp
+    s2 = run_experiment(ExperimentConfig(**SMALL, architectures=("s2",)))
+    assert s2.config["partitions_p"] == 8
+
+
+def test_sweep_ignores_the_base_table_size():
+    base = ExperimentConfig(**SMALL, architectures=("s3",))
+    report = run_sweep(base)
+    assert report.config["partitions_p"] == 8
+    assert [r.geometry["partitions_p"] for r in report.results] == [8] * 4

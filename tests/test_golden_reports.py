@@ -19,7 +19,7 @@ GOLDEN = {
     ("ideal", "csv"):
         "35add913fc376a10ab59b4bb0cb15143e8d7113892d635671637911d6c6c8e19",
     ("calibrated", "json"):
-        "4a1dadd433398e25c2628f2c730a57d6cd4807c987f15979f9fc2ba2510c7bd9",
+        "bc5a6c202c04d1d58a994849204c6868544fd4c3d435f5d374acfa70a0066a77",
     ("calibrated", "csv"):
         "35e4de88dc27c356e8fed81f6cecbd88e561fc5e85fa5cefeb96499af12dcd12",
 }

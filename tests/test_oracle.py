@@ -82,3 +82,34 @@ def test_equivalence_check_width_mismatch_is_structural():
         equivalence_check(engine, ReferenceCam(1024, 8), np.arange(4))
     with pytest.raises(ValueError):
         equivalence_check(engine, ReferenceCam(512, 16), np.arange(4))
+
+
+def test_chunked_compare_finds_the_same_divergence(monkeypatch):
+    # the injected fault of test_skipped_erase_is_detectable, with the stale
+    # key last so that it lands in a later chunk
+    from rcam_sim import oracle
+
+    g = geometry_for("s2", 1024, 8)
+    engine = build_engine(g)
+    payload = generate_payload(8, g)
+    engine.update(payload)
+    victim, stale_key = 321, int(payload[321])
+    engine.cam.apply_word(victim, 0x3C, 1)  # write without erasing
+    ref = ReferenceCam(1024, 8)
+    ref.load_full(payload)
+    ref.update(victim, 0x3C)
+    keys = np.array([k for k in range(256) if k != stale_key] + [stale_key],
+                    dtype=np.uint64)
+    whole = equivalence_check(engine, ref, keys)
+
+    monkeypatch.setattr(oracle, "_COMPARE_BYTES", 4 * g.depth_n)
+    sizes = []
+    search_batch = engine.search_batch
+    monkeypatch.setattr(engine, "search_batch",
+                        lambda chunk: sizes.append(len(chunk))
+                        or search_batch(chunk))
+    chunked = equivalence_check(engine, ref, keys)
+    assert chunked == whole
+    assert chunked.first_divergence == (stale_key, victim)
+    assert chunked.keys_checked == 256
+    assert sizes == [4] * 64

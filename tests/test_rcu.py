@@ -5,18 +5,22 @@ from hypothesis import strategies as st
 
 from rcam_sim.geometry import GeometryError, geometry_for
 from rcam_sim.oracle import ReferenceCam
-from rcam_sim.rcu import RcamArray, extract_match_addresses
+from rcam_sim.rcu import RcamArray
 
 
 def _array():
     return RcamArray(geometry_for("s2", 1024, 8))
 
 
+def _hits(match):
+    return np.flatnonzero(match).tolist()
+
+
 def test_single_cell_write_and_undo():
     arr = _array()
     arr.apply_word(227, 5, 1)  # an 8-bit word touches one cell
     assert np.count_nonzero(arr.cells) == 1
-    assert extract_match_addresses(arr.search(5)) == [227]
+    assert _hits(arr.search(5)) == [227]
     arr.apply_word(227, 5, 0)
     assert arr.is_zero()
 
@@ -25,7 +29,7 @@ def test_search_reads_one_row():
     arr = _array()
     assert not arr.slice_match(0, 0).any()
     arr.apply_word(3, 5, 1)
-    assert extract_match_addresses(arr.slice_match(0, 5)) == [3]
+    assert _hits(arr.slice_match(0, 5)) == [3]
     assert not arr.slice_match(0, 6).any()
 
 
@@ -37,6 +41,8 @@ def test_write_range_errors():
         arr.apply_word(-1, 0, 1)
     with pytest.raises(ValueError):
         arr.slice_match(0, 256)
+    with pytest.raises(ValueError):
+        arr.slice_match(1, 0)  # an 8-bit word has one slice
     with pytest.raises(ValueError):
         arr.search_batch(np.array([256], dtype=np.uint64))
     with pytest.raises(ValueError):
@@ -74,18 +80,18 @@ def test_managed_population_vs_linear_scan():
         arr.apply_word(word * 32, int(value), 1)
     for key in range(256):
         want = [32 * word for word, v in enumerate(stored) if v == key]
-        assert extract_match_addresses(arr.search(key)) == want
+        assert _hits(arr.search(key)) == want
 
 
 def test_search_is_pure():
     g = geometry_for("s2", 1024, 16)
     arr = RcamArray(g)
     arr.apply_full_table(np.arange(1024, dtype=np.uint64) * 17 % 65536, 1)
-    before = arr.state_digest()
+    before = arr.cells.copy()
     arr.search(12345)
     arr.search_batch(np.arange(64, dtype=np.uint64))
     arr.slice_match(0, 99)
-    assert arr.state_digest() == before
+    assert np.array_equal(arr.cells, before)
 
 
 def test_apply_word_hits_mapped_cell():
@@ -93,15 +99,31 @@ def test_apply_word_hits_mapped_cell():
     arr = RcamArray(g)
     # word (rcb=0, j=7, i=3) = 7*32 + 3 = 227: RCU (0, 3), row 0xAB, slot 7
     arr.apply_word(227, 0xAB, 1)
-    assert arr.cells[g.rcu_flat_index(0, 3, 0), 0xAB] == 1 << 7
-    assert extract_match_addresses(arr.search(0xAB)) == [227]
+    assert np.flatnonzero(arr.cells).tolist() == [3 * 256 + 0xAB]
+    assert arr.cells[3, 0xAB] == 1 << 7
+    assert _hits(arr.search(0xAB)) == [227]
+
+
+def test_shared_cells_all_land():
+    # Equal words of one RCU share a (row, unit) cell and differ only in
+    # the slot bit; a full-table write must set every slot and an erase
+    # must clear every one.
+    g = geometry_for("s3", 8192, 16)
+    arr = RcamArray(g)
+    payload = np.full(g.depth_n, 0x4242, dtype=np.uint64)
+    arr.apply_full_table(payload, 1)
+    assert (arr.cells[:, 0x42] == 0xFFFFFFFF).all()
+    assert np.count_nonzero(arr.cells) == g.rcu_count
+    assert arr.search(0x4242).all()
+    arr.apply_full_table(payload, 0)
+    assert arr.is_zero()
 
 
 def test_and_combining_suppresses_partial_match():
     g = geometry_for("s2", 1024, 16)
     arr = RcamArray(g)
     arr.apply_word(10, 0x12AB, 1)
-    assert extract_match_addresses(arr.search(0x12AB)) == [10]
+    assert _hits(arr.search(0x12AB)) == [10]
     # same low byte, different high byte: no match anywhere
     assert not arr.search(0x34AB).any()
     assert not arr.search(0x12CD).any()
@@ -152,24 +174,6 @@ def test_column_occupancy_flags_skipped_erase():
     # the stale bit is a detectable false positive
     old_key = int(payload[40])
     assert bool(arr.search(old_key)[40])
-
-
-def test_extract_match_addresses():
-    vec = np.zeros(65536, dtype=bool)
-    assert extract_match_addresses(vec) == []
-    assert extract_match_addresses(vec, "first") == []
-    vec[7] = vec[7000] = True
-    assert extract_match_addresses(vec, "all") == [7, 7000]
-    assert extract_match_addresses(vec, "first") == [7]
-    with pytest.raises(ValueError):
-        extract_match_addresses(vec, "last")
-
-
-def test_extract_matches_naive_loop():
-    rng = np.random.default_rng(99)
-    vec = rng.random(65536) < 0.001
-    naive = [i for i in range(vec.size) if vec[i]]
-    assert extract_match_addresses(vec) == naive
 
 
 @given(st.lists(st.tuples(st.integers(0, 1023), st.integers(0, 255),
