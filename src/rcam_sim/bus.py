@@ -13,8 +13,8 @@ One schedule per access pattern:
 Both knobs are quantised once, when a :class:`BusModel` is built: eta to
 1/``ETA_RESOLUTION`` and the overhead to 1/``OVERHEAD_RESOLUTION`` (the
 calibration grid steps).  The schedules work in exact integer arithmetic at
-those resolutions, fractional overheads are realized deterministically with
-an error accumulator, and :meth:`BusModel.describe` reports the values that
+those resolutions, fractional overheads are realized deterministically as
+differences of floors, and :meth:`BusModel.describe` reports the values that
 were simulated.  Ideal mode pins eta = 1 and overhead = 0, which makes the
 stream schedule the identity and an on-demand access cost exactly one cycle.
 
@@ -104,25 +104,20 @@ def ideal_bus(bus_width_b: int = 256, clock_mhz: float = 100.0) -> BusModel:
 class StallSequence:
     """Deterministic integer realization of a fractional per-burst stall.
 
-    The mean is interpreted at ``OVERHEAD_RESOLUTION`` and accumulated in
-    exact integer arithmetic, so the realized sum over n bursts is
-    floor(n * mean) regardless of n.
+    The mean is interpreted at ``OVERHEAD_RESOLUTION``.  Stall i is
+    floor((i+1) * mean) - floor(i * mean), in exact integer arithmetic, so
+    the realized sum over n bursts is floor(n * mean) regardless of n.
     """
 
     def __init__(self, mean_cycles: float):
         if mean_cycles < 0:
             raise BusError("stall mean must be >= 0")
         self._num = round(mean_cycles * OVERHEAD_RESOLUTION)
-        self._acc = 0
-
-    def __next__(self) -> int:
-        self._acc += self._num
-        stall, self._acc = divmod(self._acc, OVERHEAD_RESOLUTION)
-        return stall
 
     def take(self, count: int) -> np.ndarray:
-        return np.fromiter((next(self) for _ in range(count)), dtype=np.int64,
-                           count=count)
+        floors = (np.arange(count + 1, dtype=np.int64) * self._num
+                  // OVERHEAD_RESOLUTION)
+        return np.diff(floors)
 
 
 def stream_schedule(bus: BusModel, beat_count: int) -> np.ndarray:

@@ -77,50 +77,37 @@ def _simulated_efficiency(arch: str, bus) -> float:
 def calibrate(targets: dict[str, float] | None = None) -> CalibrationResult:
     """Grid-search (eta, overhead) against measured efficiencies.
 
-    ``targets`` maps architecture name to efficiency in (0, 1]; omitted
-    architectures do not constrain the fit.  The traditional architecture
-    depends only on the burst overhead and the streaming ones only on eta,
-    so each knob's simulations are memoized and the full grid is evaluated
-    from them.
+    ``targets`` maps each of s1, s2 and s3 to its efficiency in (0, 1].
+    The traditional architecture depends only on the burst overhead and the
+    streaming ones only on eta, so each knob value is simulated once and
+    the full grid is evaluated from those runs.
     """
     targets = dict(DEFAULT_TARGETS if targets is None else targets)
-    if not targets:
-        raise ValueError("at least one target is required")
+    if set(targets) != set(DEFAULT_TARGETS):
+        raise ValueError(
+            f"targets must name exactly s1, s2 and s3, got {sorted(targets)}")
     for arch, eff in targets.items():
-        if arch not in ("s1", "s2", "s3"):
-            raise ValueError(f"unknown architecture {arch!r}")
         if not 0.0 < eff <= 1.0:
             raise ValueError(
                 f"target for {arch} must lie in (0, 1], got {eff}")
 
     etas = _grid(ETA_GRID)
     overheads = _grid(OVERHEAD_GRID)
-
-    s1_sims = {}
-    if "s1" in targets:
-        for oh in overheads:
-            s1_sims[oh] = _simulated_efficiency("s1", calibrated_bus(1.0, oh))
-    stream_sims: dict[float, dict[str, float]] = {}
-    stream_archs = [a for a in ("s2", "s3") if a in targets]
-    if stream_archs:
-        for eta in etas:
-            bus = calibrated_bus(eta, 0.0)
-            stream_sims[eta] = {a: _simulated_efficiency(a, bus)
-                                for a in stream_archs}
+    s1_errs = {}
+    for oh in overheads:
+        sim = _simulated_efficiency("s1", calibrated_bus(1.0, oh))
+        s1_errs[oh] = abs(sim - targets["s1"]) / targets["s1"]
 
     # Minimize the maximum relative error; ties go to the smaller error sum
     # (the max is often pinned by one architecture, leaving the other knob
     # free otherwise).
     best = None
-    for eta in (etas if stream_archs else etas[-1:]):
-        stream_errs = []
-        if stream_archs:
-            stream_errs = [abs(stream_sims[eta][a] - targets[a]) / targets[a]
-                           for a in stream_archs]
-        for oh in (overheads if "s1" in targets else overheads[:1]):
-            errs = list(stream_errs)
-            if "s1" in targets:
-                errs.append(abs(s1_sims[oh] - targets["s1"]) / targets["s1"])
+    for eta in etas:
+        bus = calibrated_bus(eta, 0.0)
+        stream_errs = [abs(_simulated_efficiency(a, bus) - targets[a])
+                       / targets[a] for a in ("s2", "s3")]
+        for oh in overheads:
+            errs = stream_errs + [s1_errs[oh]]
             key = (max(errs), sum(errs))
             if best is None or key < best[0]:
                 best = (key, eta, oh)

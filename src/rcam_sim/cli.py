@@ -13,7 +13,8 @@ from ._version import __version__
 from .calibration import DEFAULT_TARGETS, CalibrationResult, calibrate
 from .engines import build_engine
 from .experiment import (ConfigError, ExperimentConfig, OracleDivergenceError,
-                         emit_report, read_config, run_experiment, run_sweep)
+                         emit_report, read_config, run_experiment, run_sweep,
+                         search_keys)
 from .geometry import GeometryError, geometry_for
 from .oracle import ReferenceCam, equivalence_check
 from .payload import generate_payload, splitmix64
@@ -33,26 +34,19 @@ def _add_bus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bus-width", type=int, default=None, help="bus bits per beat")
 
 
-def _load_calibration(args):
-    if args.calibration is None:
+def _load_calibration(path) -> CalibrationResult | None:
+    if path is None:
         return None
-    with open(args.calibration, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ConfigError("calibration file must hold a single JSON object")
     try:
-        result = CalibrationResult.from_dict(data)
+        return CalibrationResult.from_dict(data)
     except KeyError as exc:
         raise ConfigError(f"calibration file lacks the key {exc}") from exc
     except TypeError as exc:
         raise ConfigError(f"malformed calibration file: {exc}") from exc
-    if args.eta is None:
-        args.eta = result.stream_efficiency
-    if args.burst_overhead is None:
-        args.burst_overhead = result.burst_overhead_cycles
-    if args.bus is None:
-        args.bus = "calibrated"
-    return result
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -106,15 +100,21 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bus_config(args) -> dict:
-    """The config keys set by the bus flags (and a calibration file)."""
-    keys = {"bus_mode": args.bus, "stream_efficiency": args.eta,
-            "burst_overhead_cycles": args.burst_overhead,
-            "clock_mhz": args.clock, "bus_width_b": args.bus_width}
-    return {k: v for k, v in keys.items() if v is not None}
+def _bus_config(args, calibration) -> dict:
+    """The config keys set by the bus flags, over a calibration file's."""
+    keys = {}
+    if calibration is not None:
+        keys = {"bus_mode": "calibrated",
+                "stream_efficiency": calibration.stream_efficiency,
+                "burst_overhead_cycles": calibration.burst_overhead_cycles}
+    flags = {"bus_mode": args.bus, "stream_efficiency": args.eta,
+             "burst_overhead_cycles": args.burst_overhead,
+             "clock_mhz": args.clock, "bus_width_b": args.bus_width}
+    keys.update({k: v for k, v in flags.items() if v is not None})
+    return keys
 
 
-def _config_from_args(args) -> ExperimentConfig:
+def _config_from_args(args, calibration) -> ExperimentConfig:
     # Flags override the file's raw values; defaults derive from the merge.
     base = read_config(args.config) if args.config else {}
     overrides = {
@@ -130,7 +130,7 @@ def _config_from_args(args) -> ExperimentConfig:
         "trace_path": None if args.trace is None else str(args.trace),
     }
     base.update({k: v for k, v in overrides.items() if v is not None})
-    base.update(_bus_config(args))
+    base.update(_bus_config(args, calibration))
     if args.no_verify:
         base["verify_oracle"] = False
     return ExperimentConfig.from_dict(base)
@@ -151,8 +151,8 @@ def _print_results(report) -> None:
 
 
 def _cmd_run(args) -> int:
-    calibration = _load_calibration(args)
-    config = _config_from_args(args)
+    calibration = _load_calibration(args.calibration)
+    config = _config_from_args(args, calibration)
     report = run_experiment(config, calibration)
     _print_results(report)
     if args.out:
@@ -162,10 +162,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    calibration = _load_calibration(args)
+    calibration = _load_calibration(args.calibration)
     base = ExperimentConfig.from_dict({
         "architectures": [a for a in args.archs.split(",") if a],
-        "seed": args.seed, "key_count": args.keys, **_bus_config(args)})
+        "seed": args.seed, "key_count": args.keys,
+        **_bus_config(args, calibration)})
     report = run_sweep(base, calibration)
     _print_results(report)
     if args.out:
@@ -202,8 +203,7 @@ def _cmd_verify(args) -> int:
             payload = generate_payload(int(r[3 + round_no]) or 1, geometry)
             engine.update(payload)
             reference.load_full(payload)
-            keys = (splitmix64(r[5] + np.arange(args.keys, dtype=np.uint64))
-                    & np.uint64(geometry.word_mask))
+            keys = search_keys(int(r[5]), payload, geometry, args.keys)
             verdict = equivalence_check(engine, reference, keys)
             if not verdict.passed:
                 break

@@ -18,13 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .bus import (BusModel, calibrated_bus, ideal_bus, update_io_efficiency,
-                  update_throughput_gbps)
+from .bus import BusModel, update_io_efficiency, update_throughput_gbps
 from .calibration import (DEFAULT_CALIBRATED_ETA, DEFAULT_CALIBRATED_OVERHEAD,
                           CalibrationResult)
 from .engines import build_engine
-from .geometry import (ARCHITECTURES, CamGeometry, feasible_partitions,
-                       geometry_for)
+from .geometry import ARCHITECTURES, CamGeometry, geometry_for
 from .oracle import ReferenceCam, equivalence_check
 from .payload import generate_payload, load_payload, splitmix64
 from .resources import m10k_report
@@ -52,7 +50,7 @@ class OracleDivergenceError(RuntimeError):
         self.divergence = divergence
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     depth_n: int = 65536
     word_width_w: int = 8
@@ -71,8 +69,6 @@ class ExperimentConfig:
     trace_path: str | None = None
 
     def __post_init__(self) -> None:
-        self.record_events = self.trace_path is not None
-        self.architectures = tuple(self.architectures)
         for arch in self.architectures:
             if arch not in ARCHITECTURES:
                 raise ConfigError(f"unknown architecture {arch!r}")
@@ -84,34 +80,45 @@ class ExperimentConfig:
             raise ConfigError("key_count must be >= 0")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be a 64-bit unsigned value")
-        # The shipped calibration fills unset bus knobs, so a report's
-        # config prints the knobs that are simulated.
+        geometries = {
+            arch: geometry_for(arch, self.depth_n, self.word_width_w,
+                               self.bus_width_b, self.partitions_p)
+            for arch in self.architectures}
+        eta, overhead = self.stream_efficiency, self.burst_overhead_cycles
+        if self.bus_mode == "ideal":
+            if (eta, overhead) != (None, None):
+                raise ConfigError(
+                    "the ideal bus takes no stream_efficiency or "
+                    "burst_overhead_cycles; set bus_mode to calibrated")
+            eta, overhead = 1.0, 0.0
+        # Unset calibrated knobs take the shipped calibration, and the
+        # fields print the quantised values that the bus simulates.
+        bus = BusModel(
+            self.bus_width_b, self.clock_mhz, self.bus_mode,
+            DEFAULT_CALIBRATED_ETA if eta is None else eta,
+            DEFAULT_CALIBRATED_OVERHEAD if overhead is None else overhead)
         if self.bus_mode == "calibrated":
-            if self.stream_efficiency is None:
-                self.stream_efficiency = DEFAULT_CALIBRATED_ETA
-            if self.burst_overhead_cycles is None:
-                self.burst_overhead_cycles = DEFAULT_CALIBRATED_OVERHEAD
-        # Geometry constraints surface now, not mid-run.
-        for arch in self.architectures:
-            geometry_for(arch, self.depth_n, self.word_width_w,
-                         self.bus_width_b, self.partitions_p)
+            object.__setattr__(self, "stream_efficiency", bus.stream_efficiency)
+            object.__setattr__(self, "burst_overhead_cycles",
+                               bus.burst_overhead_cycles)
+        object.__setattr__(self, "architectures", tuple(self.architectures))
+        object.__setattr__(self, "record_events", self.trace_path is not None)
+        # The bus and geometries are resolved once, here, as plain
+        # attributes (asdict, == and repr see only the fields); the config
+        # is frozen, so they cannot go stale.
+        object.__setattr__(self, "geometries", geometries)
+        object.__setattr__(self, "_bus", bus)
 
     def bus(self) -> BusModel:
-        if self.bus_mode == "ideal":
-            return ideal_bus(self.bus_width_b, self.clock_mhz)
-        return calibrated_bus(self.stream_efficiency,
-                              self.burst_overhead_cycles, self.bus_width_b,
-                              self.clock_mhz)
+        return self._bus
 
     def to_dict(self) -> dict:
         d = asdict(self)
         d["architectures"] = list(self.architectures)
         # Print the s3 partition count simulated, which the table may clamp;
         # the field keeps the request, for configs derived at another size.
-        if "s3" in self.architectures:
-            d["partitions_p"] = feasible_partitions(
-                self.depth_n, self.word_width_w, self.bus_width_b,
-                self.partitions_p)
+        if "s3" in self.geometries:
+            d["partitions_p"] = self.geometries["s3"].partitions_p
         return d
 
     @classmethod
@@ -280,8 +287,8 @@ def emit_report(report: EfficiencyReport, out_path, fmt: str = "json") -> Path:
     return path
 
 
-def _search_keys(seed: int, payload: np.ndarray, geometry: CamGeometry,
-                 count: int) -> np.ndarray:
+def search_keys(seed: int, payload: np.ndarray, geometry: CamGeometry,
+                count: int) -> np.ndarray:
     """Deterministic key sample: half uniform, half drawn from the payload."""
     base = np.uint64(seed ^ 0xD6E8FEB86659FD93) + np.arange(count, dtype=np.uint64)
     keys = splitmix64(base) & np.uint64(geometry.word_mask)
@@ -308,8 +315,7 @@ def run_experiment(config: ExperimentConfig,
     bus = config.bus()
     results = []
     for arch in config.architectures:
-        geometry = geometry_for(arch, config.depth_n, config.word_width_w,
-                                config.bus_width_b, config.partitions_p)
+        geometry = config.geometries[arch]
         payload = _resolve_payload(config, geometry)
         engine = build_engine(geometry, bus, record_events=config.record_events)
         trace = engine.update(payload)
@@ -317,7 +323,7 @@ def run_experiment(config: ExperimentConfig,
         if config.verify_oracle and config.key_count:
             reference = ReferenceCam(geometry.depth_n, geometry.word_width_w)
             reference.load_full(payload)
-            keys = _search_keys(config.seed, payload, geometry, config.key_count)
+            keys = search_keys(config.seed, payload, geometry, config.key_count)
             verdict = equivalence_check(engine, reference, keys)
             if not verdict.passed:
                 raise OracleDivergenceError(arch, geometry,
@@ -342,7 +348,9 @@ def run_sweep(base: ExperimentConfig,
               calibration: CalibrationResult | None = None) -> EfficiencyReport:
     """Constant-table-size width sweep (one row per architecture x width).
 
-    Every run is ``base`` with the depth and width of one sweep point.
+    Every run is ``base`` with the depth and width of one sweep point.  The
+    points share one table size, so s3 runs the same partition count at
+    each, and the report prints that count.
     """
     results = []
     for width in SWEEP_WIDTHS:
@@ -354,7 +362,8 @@ def run_sweep(base: ExperimentConfig,
         "widths": list(SWEEP_WIDTHS), "architectures": list(base.architectures),
         "bus_mode": base.bus_mode, "stream_efficiency": base.stream_efficiency,
         "burst_overhead_cycles": base.burst_overhead_cycles, "seed": base.seed,
-        "key_count": base.key_count, "partitions_p": base.partitions_p,
+        "key_count": base.key_count,
+        "partitions_p": config.to_dict()["partitions_p"],
         "bus_width_b": base.bus_width_b, "clock_mhz": base.clock_mhz,
     }
     return EfficiencyReport(

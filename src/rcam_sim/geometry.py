@@ -146,7 +146,13 @@ class CamGeometry:
 def feasible_partitions(depth_n: int, word_width_w: int, bus_width_b: int = 256,
                         requested: int = 8) -> int:
     """Largest power-of-two partition count <= requested that still leaves at
-    least one whole sub-CAM block (32*k words must not exceed the table)."""
+    least one whole sub-CAM block (32*k words must not exceed the table).
+
+    A request that is not a power of two is rejected before the clamp, so
+    the rejection does not depend on the table size.
+    """
+    if requested < 1 or requested & (requested - 1):
+        raise GeometryError("partitions_p must be a power of two")
     p = requested
     while p > 1 and RCU_SLOTS * p * bus_width_b > depth_n * word_width_w:
         p //= 2

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcam_sim.bus import (BusError, BusModel, IDEAL_BUS, StallSequence,
-                          calibrated_bus, demand_schedule, stream_schedule,
-                          update_io_efficiency, update_throughput_gbps)
+from rcam_sim.bus import (OVERHEAD_RESOLUTION, BusError, BusModel, IDEAL_BUS,
+                          StallSequence, calibrated_bus, demand_schedule,
+                          stream_schedule, update_io_efficiency,
+                          update_throughput_gbps)
 
 
 def test_bus_validation():
@@ -128,6 +129,22 @@ def test_discrete_seeded_property():
         assert np.all(np.diff(early) >= consume)
         assert np.all(np.diff(early) > stalls[1:])  # one burst at a time
         assert np.all(early <= plain)
+
+
+def test_stall_sequence_matches_an_accumulator():
+    def accumulated(num, count):
+        acc, stalls = 0, []
+        for _ in range(count):
+            stall, acc = divmod(acc + num, OVERHEAD_RESOLUTION)
+            stalls.append(stall)
+        return stalls
+
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        mean = round(float(rng.uniform(0, 12)), 2)
+        count = int(rng.integers(0, 400))
+        assert StallSequence(mean).take(count).tolist() == accumulated(
+            round(mean * OVERHEAD_RESOLUTION), count)
 
 
 def test_stall_sequence_mean():

@@ -4,7 +4,8 @@ import json
 import pytest
 
 from rcam_sim.calibration import (DEFAULT_CALIBRATED_ETA,
-                                  DEFAULT_CALIBRATED_OVERHEAD, calibrate)
+                                  DEFAULT_CALIBRATED_OVERHEAD, DEFAULT_TARGETS,
+                                  calibrate)
 
 
 @pytest.fixture(scope="module")
@@ -54,21 +55,15 @@ def test_perfect_targets_fit_ideal_knobs():
     assert result.residuals["s3"] == pytest.approx(0.0005, abs=0.001)
 
 
-def test_single_target_matches_closed_form():
-    # s1 alone: per-beat period = 2*(B/W) + overhead, so the best overhead is
-    # the grid point nearest 1/eff - 8 = 1.901
-    result = calibrate({"s1": 0.101})
-    assert result.burst_overhead_cycles == pytest.approx(1.90)
-    assert set(result.residuals) == {"s1"}
-    assert result.residuals["s1"] < 0.001
-
-
 def test_infeasible_targets_rejected():
-    with pytest.raises(ValueError):
-        calibrate({"s3": 1.2})
-    with pytest.raises(ValueError):
-        calibrate({"s2": 0.0})
-    with pytest.raises(ValueError):
-        calibrate({"s4": 0.5})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must lie in"):
+        calibrate({**DEFAULT_TARGETS, "s3": 1.2})
+    with pytest.raises(ValueError, match="must lie in"):
+        calibrate({**DEFAULT_TARGETS, "s2": 0.0})
+    with pytest.raises(ValueError, match="exactly s1, s2 and s3"):
+        calibrate({**DEFAULT_TARGETS, "s4": 0.5})
+    with pytest.raises(ValueError, match="exactly s1, s2 and s3"):
         calibrate({})
+    # a partial target set is rejected, not fitted to the named targets
+    with pytest.raises(ValueError, match="exactly s1, s2 and s3"):
+        calibrate({"s1": 0.101})

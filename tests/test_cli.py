@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from rcam_sim.cli import main
+from rcam_sim.rcu import RcamArray
 
 
 def test_run_writes_json_report(tmp_path, capsys):
@@ -94,15 +96,47 @@ def test_run_calibrated_bus_flags(tmp_path):
 
 
 def test_run_reports_the_simulated_burst_overhead(tmp_path):
-    # 1.905 runs as 1.90 (20,275 cycles); the report says so
+    # 1.905 runs as 1.90 (20,275 cycles) and 0.9764 as 0.976; the report's
+    # config and bus sections both say so
     out = tmp_path / "r.json"
     rc = main(["run", "--arch", "s1", "--depth", "8192", "--width", "64",
-               "--bus", "calibrated", "--burst-overhead", "1.905",
-               "--no-verify", "--out", str(out)])
+               "--bus", "calibrated", "--eta", "0.9764",
+               "--burst-overhead", "1.905", "--no-verify", "--out", str(out)])
     assert rc == 0
     parsed = json.loads(out.read_text())
-    assert parsed["bus"]["burst_overhead_cycles"] == 1.9
+    for section in ("config", "bus"):
+        assert parsed[section]["stream_efficiency"] == 0.976
+        assert parsed[section]["burst_overhead_cycles"] == 1.9
     assert parsed["results"][0]["total_cycles"] == 20275
+
+
+@pytest.mark.parametrize("flags", [
+    ["run", "--arch", "s2", "--depth", "1024", "--eta", "0.9"],
+    ["run", "--arch", "s2", "--depth", "1024", "--bus", "ideal",
+     "--burst-overhead", "1.0"],
+    ["sweep", "--eta", "0.9"],
+    ["run", "--arch", "s2", "--depth", "1024", "--bus", "ideal",
+     "--calibration", "{calibration}"],
+], ids=["run-eta", "run-ideal-overhead", "sweep-eta", "ideal-calibration"])
+def test_ideal_bus_rejects_knobs(tmp_path, capsys, flags):
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps(CALIBRATION))
+    flags = [f.format(calibration=path) for f in flags]
+    assert main(flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: the ideal bus takes no stream_efficiency or "
+        "burst_overhead_cycles; set bus_mode to calibrated\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("depth", ["1024", "65536"])
+def test_run_rejects_partitions_that_are_not_a_power_of_two(capsys, depth):
+    # the rejection does not depend on whether the table clamps P
+    assert main(["run", "--arch", "s3", "--depth", depth,
+                 "--partitions", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: partitions_p must be a power of two\n")
 
 
 def test_run_rejects_eta_that_rounds_to_zero(capsys):
@@ -127,6 +161,19 @@ def test_verify_subcommand(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "match the reference" in out
+
+
+def test_verify_catches_a_cam_that_never_matches(monkeypatch, capsys):
+    # Half of verify's keys come from the table, so every width sees hits;
+    # uniform 32- and 64-bit keys would miss both CAMs and pass.
+    def never_match(self, keys):
+        return np.zeros((len(keys), self.geometry.depth_n), dtype=bool)
+
+    monkeypatch.setattr(RcamArray, "search_batch", never_match)
+    assert main(["verify", "--iterations", "24", "--seed", "1"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert sum("DIVERGED" in line for line in lines) == 24
+    assert lines[-1] == "24 of 24 iterations diverged"
 
 
 @pytest.mark.parametrize("flags, message", [

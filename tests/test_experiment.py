@@ -1,9 +1,12 @@
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rcam_sim.bus import BusError
 from rcam_sim.experiment import (ConfigError, ExperimentConfig,
                                  OracleDivergenceError, emit_report,
                                  load_config, report_csv, run_experiment,
@@ -34,6 +37,14 @@ def test_config_round_trip(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
     assert load_config(path) == config
+
+
+def test_config_is_frozen():
+    # the bus and geometries are resolved at construction, so a field
+    # assigned later would not be the one simulated
+    config = ExperimentConfig(**SMALL, architectures=("s2",))
+    with pytest.raises(FrozenInstanceError):
+        config.word_width_w = 64
 
 
 def test_ideal_run_efficiencies():
@@ -199,3 +210,42 @@ def test_sweep_ignores_the_base_table_size():
     report = run_sweep(base)
     assert report.config["partitions_p"] == 8
     assert [r.geometry["partitions_p"] for r in report.results] == [8] * 4
+
+
+def test_sweep_prints_the_simulated_partition_count():
+    # 64 KB leaves s3 at most 64 partitions of a 256-bit bus
+    base = ExperimentConfig(architectures=("s3",), partitions_p=128,
+                            verify_oracle=False)
+    report = run_sweep(base)
+    assert [r.geometry["partitions_p"] for r in report.results] == [64] * 4
+    assert report.config["partitions_p"] == 64
+
+
+@given(archs=st.lists(st.sampled_from(["s1", "s2", "s3"]), min_size=1,
+                      max_size=3, unique=True),
+       depth=st.sampled_from([1000, 1024, 2048, 8192]),
+       width=st.sampled_from([8, 16, 64]),
+       bus_mode=st.sampled_from(["ideal", "calibrated"]),
+       eta=st.none() | st.floats(0.0, 1.1),
+       overhead=st.none() | st.floats(-0.5, 4.0),
+       partitions=st.sampled_from([0, 1, 2, 3, 4, 8, 12, 16, 32]))
+@settings(max_examples=100, deadline=None)
+def test_report_prints_the_simulated_config(archs, depth, width, bus_mode,
+                                            eta, overhead, partitions):
+    try:
+        config = ExperimentConfig(
+            depth_n=depth, word_width_w=width, architectures=tuple(archs),
+            bus_mode=bus_mode, stream_efficiency=eta,
+            burst_overhead_cycles=overhead, partitions_p=partitions,
+            key_count=0)
+    except (ConfigError, GeometryError, BusError):
+        return
+    report = json.loads(run_experiment(config).to_json())
+    printed = report["config"]
+    for knob in ("stream_efficiency", "burst_overhead_cycles"):
+        expected = report["bus"][knob] if bus_mode == "calibrated" else None
+        assert printed[knob] == expected
+    for result in report["results"]:
+        if result["architecture"] == "s3":
+            assert result["geometry"]["partitions_p"] == printed["partitions_p"]
+    assert ExperimentConfig.from_dict(printed).to_dict() == printed
