@@ -160,6 +160,9 @@ class _EngineBase:
     def search_batch(self, keys) -> np.ndarray:
         return self.cam.search_batch(keys)
 
+    def match_masks(self, keys) -> np.ndarray:
+        return self.cam.match_masks(keys)
+
     def _check_key(self, key: int) -> None:
         if not 0 <= key <= self.geometry.word_mask:
             raise EngineError(

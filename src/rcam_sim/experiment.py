@@ -22,7 +22,8 @@ from .bus import BusModel, update_io_efficiency, update_throughput_gbps
 from .calibration import (DEFAULT_CALIBRATED_ETA, DEFAULT_CALIBRATED_OVERHEAD,
                           CalibrationResult)
 from .engines import build_engine
-from .geometry import ARCHITECTURES, CamGeometry, geometry_for
+from .geometry import (ARCHITECTURES, CamGeometry, check_partitions,
+                       geometry_for)
 from .oracle import ReferenceCam, equivalence_check
 from .payload import generate_payload, load_payload, splitmix64
 from .resources import m10k_report
@@ -69,9 +70,11 @@ class ExperimentConfig:
     trace_path: str | None = None
 
     def __post_init__(self) -> None:
-        for arch in self.architectures:
+        for i, arch in enumerate(self.architectures):
             if arch not in ARCHITECTURES:
                 raise ConfigError(f"unknown architecture {arch!r}")
+            if arch in self.architectures[:i]:
+                raise ConfigError(f"architecture {arch!r} is selected twice")
         if not self.architectures:
             raise ConfigError("at least one architecture is required")
         if self.bus_mode not in ("ideal", "calibrated"):
@@ -80,6 +83,8 @@ class ExperimentConfig:
             raise ConfigError("key_count must be >= 0")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be a 64-bit unsigned value")
+        # checked whatever is selected: to_dict prints the field without s3
+        check_partitions(self.partitions_p)
         geometries = {
             arch: geometry_for(arch, self.depth_n, self.word_width_w,
                                self.bus_width_b, self.partitions_p)

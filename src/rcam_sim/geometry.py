@@ -73,8 +73,7 @@ class CamGeometry:
                 f"bus width {self.bus_width_b} not divisible by word width "
                 f"{self.word_width_w}"
             )
-        if self.partitions_p < 1 or self.partitions_p & (self.partitions_p - 1):
-            raise GeometryError("partitions_p must be a power of two")
+        check_partitions(self.partitions_p)
         if self.architecture != "s3" and self.partitions_p != 1:
             raise GeometryError("partitions_p > 1 is only meaningful for s3")
         group = RCU_SLOTS * self.words_per_beat_k
@@ -143,6 +142,12 @@ class CamGeometry:
         }
 
 
+def check_partitions(partitions_p: int) -> None:
+    """Reject a partition count that is not a power of two."""
+    if partitions_p < 1 or partitions_p & (partitions_p - 1):
+        raise GeometryError("partitions_p must be a power of two")
+
+
 def feasible_partitions(depth_n: int, word_width_w: int, bus_width_b: int = 256,
                         requested: int = 8) -> int:
     """Largest power-of-two partition count <= requested that still leaves at
@@ -151,8 +156,7 @@ def feasible_partitions(depth_n: int, word_width_w: int, bus_width_b: int = 256,
     A request that is not a power of two is rejected before the clamp, so
     the rejection does not depend on the table size.
     """
-    if requested < 1 or requested & (requested - 1):
-        raise GeometryError("partitions_p must be a power of two")
+    check_partitions(requested)
     p = requested
     while p > 1 and RCU_SLOTS * p * bus_width_b > depth_n * word_width_w:
         p //= 2

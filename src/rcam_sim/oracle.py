@@ -6,13 +6,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Bytes of one (keys, N) boolean match array that equivalence_check builds
-# per side at a time: verification memory stays flat as keys grow.
+from .geometry import RCU_SLOTS
+
+# Bytes of each side's packed (rcb*k, keys) uint32 slot masks, and reference
+# hits (some 40 bytes of index arrays each), that equivalence_check holds per
+# key chunk: verification memory stays flat as keys and hits grow.  Only a
+# chunk of one key may exceed the hit budget, so a table of one repeated word
+# costs N hits per chunk, never keys x N.
 _COMPARE_BYTES = 1 << 24
+_HIT_BUDGET = 1 << 19
 
 
 class ReferenceCam:
-    """Plain word table searched by linear scan, O(N) per key by design."""
+    """Plain word table.
+
+    ``search`` and ``search_batch`` scan it, O(N) per key by design.
+    ``hits`` looks keys up in a stable sort of the occupied words, built on
+    first use after ``update`` or ``load_full``.
+    """
 
     def __init__(self, depth_n: int, word_width_w: int):
         if depth_n <= 0:
@@ -27,6 +38,8 @@ class ReferenceCam:
                      if np.iinfo(t).bits >= word_width_w)
         self.words = np.zeros(depth_n, dtype=dtype)
         self.occupied = np.zeros(depth_n, dtype=bool)
+        # (occupied word indices stably sorted by value, their values)
+        self._sorted = None
 
     def update(self, index: int, value: int) -> None:
         if not 0 <= index < self.depth_n:
@@ -35,6 +48,7 @@ class ReferenceCam:
             raise ValueError(f"value does not fit {self.word_width_w} bits")
         self.words[index] = value
         self.occupied[index] = True
+        self._sorted = None
 
     def load_full(self, payload) -> None:
         arr = np.asarray(payload, dtype=np.uint64)
@@ -42,6 +56,7 @@ class ReferenceCam:
             raise ValueError(f"payload must hold {self.depth_n} words")
         self.words[:] = arr
         self.occupied[:] = True
+        self._sorted = None
 
     def search(self, key: int) -> np.ndarray:
         if not 0 <= key <= self.word_mask:
@@ -49,11 +64,38 @@ class ReferenceCam:
         return (self.words == self.words.dtype.type(key)) & self.occupied
 
     def search_batch(self, keys) -> np.ndarray:
+        keys = self._keys(keys)
+        return (self.words[None, :] == keys[:, None]) & self.occupied[None, :]
+
+    def hit_counts(self, keys) -> np.ndarray:
+        """Number of occupied words that match each key."""
+        first, end = self._spans(keys)
+        return end - first
+
+    def hits(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """Per-key hit counts, and the matching word indices of every key in
+        turn, each key's in ascending order."""
+        first, end = self._spans(keys)
+        counts = end - first
+        # hit h of the chunk sits at sorted position h + first - (hits before)
+        shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
+        return counts, self._sorted[0][np.arange(counts.sum()) + shift]
+
+    def _keys(self, keys) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size and int(keys.max()) > self.word_mask:
             raise ValueError(f"key wider than {self.word_width_w} bits")
-        keys = keys.astype(self.words.dtype)
-        return (self.words[None, :] == keys[:, None]) & self.occupied[None, :]
+        return keys.astype(self.words.dtype)
+
+    def _spans(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end of each key's run in the sorted occupied words."""
+        if self._sorted is None:
+            occupied = np.flatnonzero(self.occupied)
+            order = occupied[np.argsort(self.words[occupied], kind="stable")]
+            self._sorted = order, self.words[order]
+        keys, values = self._keys(keys), self._sorted[1]
+        return (np.searchsorted(values, keys, "left"),
+                np.searchsorted(values, keys, "right"))
 
 
 @dataclass(frozen=True)
@@ -66,9 +108,14 @@ class EquivalenceResult:
 def equivalence_check(system, reference: ReferenceCam, keys) -> EquivalenceResult:
     """Compare a CAM system against the reference over a key sample.
 
-    ``system`` needs a ``search_batch`` returning boolean match vectors and a
-    ``geometry``; on the first diverging (key, index) the verdict carries it.
-    Keys are compared in chunks of at most ``_COMPARE_BYTES // N``.
+    ``system`` needs a ``geometry`` and a ``match_masks`` returning the
+    (rcb*k, keys) uint32 slot masks of :meth:`RcamArray.match_masks`.  The
+    reference's hits are scattered into that packed layout, at each word's
+    unit and slot bit, and XORed with the system's masks, so the result is
+    nonzero exactly where the two disagree.  The verdict carries the first
+    diverging (key, word index): the earliest key, then its smallest word.
+    Keys go in chunks whose masks fit ``_COMPARE_BYTES`` and whose reference
+    hits fit ``_HIT_BUDGET``.
     """
     g = system.geometry
     if (g.depth_n, g.word_width_w) != (reference.depth_n, reference.word_width_w):
@@ -76,17 +123,37 @@ def equivalence_check(system, reference: ReferenceCam, keys) -> EquivalenceResul
             f"shape mismatch: system {g.depth_n}x{g.word_width_w}, "
             f"reference {reference.depth_n}x{reference.word_width_w}")
     keys = np.asarray(keys, dtype=np.uint64)
-    step = max(1, _COMPARE_BYTES // g.depth_n)
-    for start in range(0, keys.size, step):
-        chunk = keys[start:start + step]
-        got = system.search_batch(chunk)
-        want = reference.search_batch(chunk)
-        if got.shape != want.shape:
+    k = g.words_per_beat_k
+    units = g.rcb_count * k
+    # each word's unit and slot bit, as geometry.map_word_index places it
+    rcb, rem = np.divmod(np.arange(g.depth_n), RCU_SLOTS * k)
+    slot, pos = np.divmod(rem, k)
+    unit_of = rcb * k + pos
+    bit_of = np.left_shift(np.uint32(1), slot.astype(np.uint32))
+    step = max(1, _COMPARE_BYTES // (4 * units))
+    # keys[a:b] have total[b] - total[a] reference hits
+    total = np.concatenate(([0], np.cumsum(reference.hit_counts(keys))))
+    start = 0
+    while start < keys.size:
+        fits = int(np.searchsorted(total, total[start] + _HIT_BUDGET, "right"))
+        end = min(keys.size, start + step, max(start + 1, fits - 1))
+        chunk = keys[start:end]
+        got = system.match_masks(chunk)
+        if got.shape != (units, chunk.size):
             raise ValueError(
-                f"match shape mismatch: {got.shape} vs {want.shape}")
-        diff = got != want
-        if diff.any():
-            ki, wi = np.argwhere(diff)[0]
-            return EquivalenceResult(False, keys.size,
-                                     (int(chunk[ki]), int(wi)))
+                f"match mask shape {got.shape}, expected {(units, chunk.size)}")
+        # A key's hits are distinct words, so their (unit, slot) bits never
+        # collide and adding them ORs them.
+        counts, words = reference.hits(chunk)
+        want = np.zeros((units, chunk.size), dtype=np.uint32)
+        np.add.at(want.reshape(-1),
+                  unit_of[words] * chunk.size
+                  + np.repeat(np.arange(chunk.size), counts), bit_of[words])
+        diff = np.bitwise_xor(got, want, out=want)
+        diverged = diff.any(axis=0)
+        if diverged.any():
+            ki = int(diverged.argmax())
+            word = int(np.flatnonzero(diff[unit_of, ki] & bit_of)[0])
+            return EquivalenceResult(False, keys.size, (int(chunk[ki]), word))
+        start = end
     return EquivalenceResult(True, keys.size, None)

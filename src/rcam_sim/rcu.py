@@ -10,8 +10,9 @@ RCU row-packed in one numpy array (row value -> 32-bit slot mask).  Erase and
 write are the same port operation with a different bit, so one private
 primitive, ``RcamArray._apply``, does every cell write: for a whole table
 (:meth:`RcamArray.apply_full_table`, the engines' erase and write passes) and
-for one word (``apply_word``).  Searches AND the slices' packed slot masks,
-then unpack to word order.
+for one word (``apply_word``).  A search ANDs the slices' packed slot masks
+(:meth:`RcamArray.match_masks`); the oracle compares in that packed layout,
+and only ``search_batch`` and ``slice_match`` unpack to word order.
 """
 
 from __future__ import annotations
@@ -85,10 +86,16 @@ class RcamArray:
         return self.search_batch(np.asarray([key], dtype=np.uint64))[0]
 
     def search_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Match vectors for many keys at once; shape (len(keys), N).
+        """Match vectors for many keys at once; shape (len(keys), N)."""
+        return self._unpack(self.match_masks(keys))
 
-        The slice AND runs on packed 32-bit slot masks (bit extraction
-        commutes with bitwise AND), so the word-order unpack happens once.
+    def match_masks(self, keys: np.ndarray) -> np.ndarray:
+        """Packed search results: (rcb*k, len(keys)) uint32 slot masks.
+
+        Bit ``slot`` of ``masks[unit, i]`` is set when the word at
+        ``(rcb, slot, pos)``, ``unit = rcb * k + pos``, matches ``keys[i]``.
+        The slice AND runs on the packed masks (bit extraction commutes
+        with bitwise AND), so no word-order unpack is needed.
         """
         g = self.geometry
         keys = np.asarray(keys, dtype=np.uint64)
@@ -101,7 +108,7 @@ class RcamArray:
             sub = ((keys >> np.uint64(SUB_WORD_BITS * c)) & np.uint64(0xFF))
             rows = self._gather(c, sub.astype(np.intp))
             packed = rows if packed is None else packed & rows
-        return self._unpack(packed)
+        return packed
 
     def _gather(self, slice_no: int, rows: np.ndarray) -> np.ndarray:
         """(rcb*k, len(rows)) packed slot masks of one slice at ``rows``."""

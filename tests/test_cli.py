@@ -139,6 +139,23 @@ def test_run_rejects_partitions_that_are_not_a_power_of_two(capsys, depth):
         "error: partitions_p must be a power of two\n")
 
 
+def test_run_rejects_partitions_without_s3(capsys):
+    # P is checked whatever is selected, so no report prints a P that
+    # nothing simulates
+    assert main(["run", "--arch", "s2", "--depth", "1024",
+                 "--partitions", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: partitions_p must be a power of two\n"
+    assert captured.out == ""
+
+
+def test_sweep_rejects_a_repeated_architecture(capsys):
+    assert main(["sweep", "--archs", "s2,s2", "--keys", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: architecture 's2' is selected twice\n"
+    assert captured.out == ""
+
+
 def test_run_rejects_eta_that_rounds_to_zero(capsys):
     rc = main(["run", "--arch", "s2", "--depth", "1024", "--bus", "calibrated",
                "--eta", "0.0004"])
@@ -167,9 +184,11 @@ def test_verify_catches_a_cam_that_never_matches(monkeypatch, capsys):
     # Half of verify's keys come from the table, so every width sees hits;
     # uniform 32- and 64-bit keys would miss both CAMs and pass.
     def never_match(self, keys):
-        return np.zeros((len(keys), self.geometry.depth_n), dtype=bool)
+        g = self.geometry
+        return np.zeros((g.rcb_count * g.words_per_beat_k, len(keys)),
+                        dtype=np.uint32)
 
-    monkeypatch.setattr(RcamArray, "search_batch", never_match)
+    monkeypatch.setattr(RcamArray, "match_masks", never_match)
     assert main(["verify", "--iterations", "24", "--seed", "1"]) == 2
     lines = capsys.readouterr().out.splitlines()
     assert sum("DIVERGED" in line for line in lines) == 24

@@ -152,13 +152,16 @@ def test_trace_path_alone_records_events(tmp_path):
 def test_oracle_divergence_aborts(monkeypatch):
     from rcam_sim import experiment as exp
 
-    def broken_search_batch(self, keys):
-        out = (self.words[None, :] == np.asarray(keys, dtype=np.uint64)[:, None])
-        out = out & self.occupied[None, :]
-        out[:, 0] = ~out[:, 0]  # corrupt the reference
-        return out
+    hits = exp.ReferenceCam.hits
 
-    monkeypatch.setattr(exp.ReferenceCam, "search_batch", broken_search_batch)
+    def broken_hits(self, keys):
+        counts, words = hits(self, keys)
+        # corrupt the reference: word 0 flips in every key's hit list
+        per_key = [np.setxor1d(w, [0])
+                   for w in np.split(words, np.cumsum(counts)[:-1])]
+        return np.array([w.size for w in per_key]), np.concatenate(per_key)
+
+    monkeypatch.setattr(exp.ReferenceCam, "hits", broken_hits)
     config = ExperimentConfig(**SMALL, architectures=("s2",))
     with pytest.raises(OracleDivergenceError) as info:
         run_experiment(config)

@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rcam_sim import oracle
 from rcam_sim.engines import build_engine
-from rcam_sim.geometry import geometry_for
+from rcam_sim.geometry import ARCHITECTURES, geometry_for
 from rcam_sim.oracle import ReferenceCam, equivalence_check
 from rcam_sim.payload import generate_payload
 
@@ -87,8 +92,6 @@ def test_equivalence_check_width_mismatch_is_structural():
 def test_chunked_compare_finds_the_same_divergence(monkeypatch):
     # the injected fault of test_skipped_erase_is_detectable, with the stale
     # key last so that it lands in a later chunk
-    from rcam_sim import oracle
-
     g = geometry_for("s2", 1024, 8)
     engine = build_engine(g)
     payload = generate_payload(8, g)
@@ -103,13 +106,120 @@ def test_chunked_compare_finds_the_same_divergence(monkeypatch):
     whole = equivalence_check(engine, ref, keys)
 
     monkeypatch.setattr(oracle, "_COMPARE_BYTES", 4 * g.depth_n)
-    sizes = []
-    search_batch = engine.search_batch
-    monkeypatch.setattr(engine, "search_batch",
-                        lambda chunk: sizes.append(len(chunk))
-                        or search_batch(chunk))
+    chunks = []
+    match_masks = engine.match_masks
+    monkeypatch.setattr(engine, "match_masks",
+                        lambda chunk: chunks.append(chunk.tolist())
+                        or match_masks(chunk))
     chunked = equivalence_check(engine, ref, keys)
     assert chunked == whole
     assert chunked.first_divergence == (stale_key, victim)
     assert chunked.keys_checked == 256
-    assert sizes == [4] * 64
+    assert len(chunks) > 1 and stale_key in chunks[-1]
+
+
+def _dense_verdict(engine, ref, keys):
+    """The verdict of comparing dense match vectors cell by cell."""
+    diff = np.argwhere(engine.search_batch(keys) != ref.search_batch(keys))
+    if not diff.size:
+        return True, None
+    return False, (int(keys[diff[0][0]]), int(diff[0][1]))
+
+
+def test_reference_update_after_a_compare_is_seen():
+    # the first compare sorts the reference; the update must not leave the
+    # sorted index stale
+    g = geometry_for("s2", 1024, 8)
+    engine = build_engine(g)
+    payload = generate_payload(6, g)
+    engine.update(payload)
+    ref = ReferenceCam(1024, 8)
+    ref.load_full(payload)
+    keys = np.arange(256, dtype=np.uint64)
+    assert equivalence_check(engine, ref, keys).passed
+    old, new = int(payload[500]), (int(payload[500]) + 1) % 256
+    ref.update(500, new)
+    verdict = equivalence_check(engine, ref, keys)
+    assert (verdict.passed, verdict.first_divergence) == (
+        False, (min(old, new), 500)) == _dense_verdict(engine, ref, keys)
+
+
+@given(arch=st.sampled_from(ARCHITECTURES),
+       depth=st.sampled_from([1024, 2048, 4096]),
+       width=st.sampled_from([8, 16, 32, 64]),
+       data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_compare_gives_the_dense_verdict(arch, depth, width, data):
+    g = geometry_for(arch, depth, width)
+    engine = build_engine(g, record_events=False)
+    payload = generate_payload(data.draw(st.integers(1, 1000), "seed"), g)
+    engine.update(payload)
+    ref = ReferenceCam(depth, width)
+    if data.draw(st.booleans(), "partial reference"):
+        for i in data.draw(st.lists(st.integers(0, depth - 1), max_size=64),
+                           "occupied"):
+            ref.update(i, int(payload[i]))
+    else:
+        ref.load_full(payload)
+    index = st.integers(0, depth - 1)
+    value = st.integers(0, g.word_mask) | index.map(lambda i: int(payload[i]))
+    faults = data.draw(st.lists(st.tuples(
+        st.sampled_from(["set", "clear", "reference"]), index, value),
+        max_size=4), "faults")
+    # keys: about half from the table, some at the faulted words' old and
+    # new values
+    touched = [int(payload[i]) for _, i, _ in faults] + [v for *_, v in faults]
+    key = value if not touched else value | st.sampled_from(touched)
+    keys = np.array(data.draw(st.lists(key, max_size=40), "keys"),
+                    dtype=np.uint64)
+    # a compare before the faults builds the reference's sorted index
+    verdict = equivalence_check(engine, ref, keys)
+    assert (verdict.passed, verdict.first_divergence) == _dense_verdict(
+        engine, ref, keys)
+    for kind, i, v in faults:
+        if kind == "reference":
+            ref.update(i, v)
+        else:  # an engine write or erase without the matching erase
+            engine.cam.apply_word(i, v, int(kind == "set"))
+    # small budgets put chunk boundaries inside the key sample
+    step = data.draw(st.sampled_from([None, 1, 3]), "keys per chunk")
+    budget = data.draw(st.sampled_from([None, 1, 40]), "hit budget")
+    with mock.patch.multiple(
+            oracle,
+            _COMPARE_BYTES=(oracle._COMPARE_BYTES if step is None
+                            else 4 * step * depth // 32),
+            _HIT_BUDGET=oracle._HIT_BUDGET if budget is None else budget):
+        verdict = equivalence_check(engine, ref, keys)
+    assert (verdict.passed, verdict.first_divergence) == _dense_verdict(
+        engine, ref, keys)
+    assert verdict.keys_checked == keys.size
+
+
+def test_a_table_of_one_word_keeps_chunks_within_the_hit_budget(monkeypatch):
+    g = geometry_for("s2", 65536, 8)
+    engine = build_engine(g, record_events=False)
+    payload = np.full(g.depth_n, 0x5A, dtype=np.uint64)
+    engine.update(payload)
+    ref = ReferenceCam(g.depth_n, 8)
+    ref.load_full(payload)
+    keys = np.full(1000, 0x5A, dtype=np.uint64)
+    assert equivalence_check(engine, ref, keys).passed
+
+    budget = 3 * g.depth_n  # three keys' hits
+    monkeypatch.setattr(oracle, "_HIT_BUDGET", budget)
+    per_chunk = []
+    hits = ref.hits
+
+    def counted_hits(chunk):
+        counts, words = hits(chunk)
+        per_chunk.append((chunk.size, words.size))
+        return counts, words
+
+    monkeypatch.setattr(ref, "hits", counted_hits)
+    assert equivalence_check(engine, ref, keys[:10]).passed
+    assert per_chunk == [(3, budget)] * 3 + [(1, g.depth_n)]
+    # one key's N hits may exceed the budget, never two keys'
+    monkeypatch.setattr(oracle, "_HIT_BUDGET", 10)
+    per_chunk.clear()
+    assert equivalence_check(engine, ref, keys[:4]).passed
+    assert per_chunk == [(1, g.depth_n)] * 4
