@@ -15,6 +15,11 @@ pass over the old table, the erase-store swap, the optional
 * events merge by a stable sort on (cycle, kind rank), the rank being a
   per-architecture intra-cycle order (``_EVENT_ORDER``).
 
+The sorted (cycle, rank, arg) arrays are the trace's only event record:
+:class:`EventColumns` reads them as a sequence of :class:`TraceEvent`
+without building one, and ``UpdateTrace.to_jsonl`` formats them one kind
+at a time from a ``%``-template per kind.
+
 The erase and write passes are vectorized; they are order-equivalent to the
 per-cycle semantics because each CAM column is touched exactly once per
 phase.
@@ -74,6 +79,52 @@ _EVENT_ARG_NAME = {
     "write_row": "row",
     "stall": None,
 }
+# Each kind's JSONL line, as json.dumps writes {"cycle", "kind"[, arg name]}
+_EVENT_TEMPLATE = {
+    kind: '{"cycle": %d, "kind": "' + kind + '"'
+          + (f', "{name}": %d' if name else "") + "}"
+    for kind, name in _EVENT_ARG_NAME.items()}
+
+
+class EventColumns:
+    """One update's events as read-only columns, in event order.
+
+    ``cycles``, ``ranks`` and ``args`` hold each event's cycle, its kind as
+    an index into ``kinds`` and its beat, word or row number.  Iterating
+    yields :class:`TraceEvent` tuples, with ``arg`` None for a stall.
+    """
+
+    __slots__ = ("kinds", "cycles", "ranks", "args")
+
+    def __init__(self, kinds: tuple[str, ...], cycles: np.ndarray,
+                 ranks: np.ndarray, args: np.ndarray):
+        for column in (cycles, ranks, args):
+            column.flags.writeable = False
+        self.kinds, self.cycles, self.ranks, self.args = kinds, cycles, ranks, args
+
+    def __len__(self) -> int:
+        return self.cycles.size
+
+    def __iter__(self):
+        args = self.args.astype(object)
+        args[self.ranks == self.kinds.index("stall")] = None
+        return map(TraceEvent, self.cycles.tolist(),
+                   np.array(self.kinds, dtype=object)[self.ranks].tolist(),
+                   args.tolist())
+
+    def jsonl_lines(self) -> list[str]:
+        """Each event's line as ``json.dumps`` writes it, in event order."""
+        at, text = [], []
+        for rank, kind in enumerate(self.kinds):
+            of_kind = np.flatnonzero(self.ranks == rank)
+            columns = [self.cycles[of_kind].tolist()]
+            if _EVENT_ARG_NAME[kind] is not None:
+                columns.append(self.args[of_kind].tolist())
+            at.append(of_kind)
+            text += map(_EVENT_TEMPLATE[kind].__mod__, zip(*columns))
+        lines = np.empty(len(self), dtype=object)
+        lines[np.concatenate(at)] = text
+        return lines.tolist()
 
 
 @dataclass
@@ -89,7 +140,7 @@ class UpdateTrace:
     erase_span: tuple[int, int]
     write_span: tuple[int, int]
     catch_up_cycles: int | None = None
-    events: list[TraceEvent] | None = None
+    events: EventColumns | None = None
 
     def __post_init__(self) -> None:
         for first, last in (self.erase_span, self.write_span):
@@ -113,12 +164,8 @@ class UpdateTrace:
     def to_jsonl(self) -> str:
         """Line-delimited records: one summary line, then one line per event."""
         lines = [json.dumps({"kind": "trace_summary", **self.summary()})]
-        for ev in self.events or ():
-            rec: dict = {"cycle": int(ev.cycle), "kind": ev.kind}
-            name = _EVENT_ARG_NAME[ev.kind]
-            if name is not None:
-                rec[name] = int(ev.arg)
-            lines.append(json.dumps(rec))
+        if self.events:
+            lines += self.events.jsonl_lines()
         return "\n".join(lines) + "\n"
 
 
@@ -217,7 +264,11 @@ class S1Engine(_EngineBase):
         self.cam.apply_word(index, value, 1)
         events = None
         if self.record_events:
-            events = [TraceEvent(0, "erase", index), TraceEvent(1, "write", index)]
+            order = _EVENT_ORDER["s1"]
+            events = EventColumns(
+                order, np.array([0, 1]),
+                np.array([order.index("erase"), order.index("write")]),
+                np.array([index, index]))
         return UpdateTrace(
             architecture="s1", depth_n=g.depth_n, word_width_w=g.word_width_w,
             total_cycles=2, bus_read_cycles=0, stall_cycles=0,
@@ -335,7 +386,7 @@ def _apply_update(engine: _EngineBase, payload, probe: Callable | None,
 
 
 def _events(order: tuple[str, ...], total: int, beats: np.ndarray,
-            erases: np.ndarray, writes: np.ndarray) -> list[TraceEvent]:
+            erases: np.ndarray, writes: np.ndarray) -> EventColumns:
     """Every event of one update, sorted by (cycle, rank in ``order``).
 
     A stall is a cycle in [0, total) with neither an erase nor a write.
@@ -350,15 +401,7 @@ def _events(order: tuple[str, ...], total: int, beats: np.ndarray,
     cycles = np.concatenate(streams)
     args = np.concatenate([np.arange(s.size) for s in streams])
     idx = np.argsort(cycles * len(order) + ranks, kind="stable")
-    ranks = ranks[idx]
-    # One int object per value, shared by every event that carries it, keeps
-    # a per-word trace small.
-    ints = np.arange(max(total, args.size)).astype(object)
-    event_args = ints[args[idx]]
-    event_args[ranks == order.index("stall")] = None
-    return list(map(TraceEvent, ints[cycles[idx]].tolist(),
-                    np.array(order, dtype=object)[ranks].tolist(),
-                    event_args.tolist()))
+    return EventColumns(order, cycles[idx], ranks[idx], args[idx])
 
 
 _ENGINES = {"s1": S1Engine, "s2": S2Engine, "s3": S3Engine}

@@ -10,9 +10,9 @@ from .geometry import RCU_SLOTS
 
 # Bytes of each side's packed (rcb*k, keys) uint32 slot masks, and reference
 # hits (some 40 bytes of index arrays each), that equivalence_check holds per
-# key chunk: verification memory stays flat as keys and hits grow.  Only a
-# chunk of one key may exceed the hit budget, so a table of one repeated word
-# costs N hits per chunk, never keys x N.
+# key chunk: verification memory stays flat as keys and hits grow.  Hits are
+# looked up once per distinct key of a chunk, so a chunk never holds more
+# than N of them, and it exceeds the budget only if its first key alone does.
 _COMPARE_BYTES = 1 << 24
 _HIT_BUDGET = 1 << 19
 
@@ -105,17 +105,44 @@ class EquivalenceResult:
     first_divergence: tuple[int, int] | None  # (key, word index)
 
 
+def _key_chunks(reference: ReferenceCam, keys: np.ndarray, step: int):
+    """Slices of at most ``step`` keys whose distinct keys have at most
+    ``_HIT_BUDGET`` reference hits, unless the first key alone has more."""
+    if reference.depth_n <= _HIT_BUDGET:
+        # distinct keys have at most N hits: only ``step`` binds
+        for start in range(0, keys.size, step):
+            yield slice(start, start + step)
+        return
+    hit_counts = reference.hit_counts(keys)
+    # previous position of each key's value in ``keys``, -1 for the first
+    by_value = np.argsort(keys, kind="stable")
+    repeat = keys[by_value[1:]] == keys[by_value[:-1]]
+    previous = np.full(keys.size, -1)
+    previous[by_value[1:][repeat]] = by_value[:-1][repeat]
+    start = 0
+    while start < keys.size:
+        # hits a chunk from start adds with each key not already in it
+        stop = min(keys.size, start + step)
+        new_hits = np.where(previous[start:stop] < start,
+                            hit_counts[start:stop], 0).cumsum()
+        end = start + int(np.searchsorted(
+            new_hits, max(_HIT_BUDGET, new_hits[0]), "right"))
+        yield slice(start, end)
+        start = end
+
+
 def equivalence_check(system, reference: ReferenceCam, keys) -> EquivalenceResult:
     """Compare a CAM system against the reference over a key sample.
 
     ``system`` needs a ``geometry`` and a ``match_masks`` returning the
     (rcb*k, keys) uint32 slot masks of :meth:`RcamArray.match_masks`.  The
-    reference's hits are scattered into that packed layout, at each word's
-    unit and slot bit, and XORed with the system's masks, so the result is
+    reference's hits for each distinct key of a chunk are scattered into
+    that packed layout, at each word's unit and slot bit, spread to every
+    copy of the key and XORed with the system's masks, so the result is
     nonzero exactly where the two disagree.  The verdict carries the first
     diverging (key, word index): the earliest key, then its smallest word.
-    Keys go in chunks whose masks fit ``_COMPARE_BYTES`` and whose reference
-    hits fit ``_HIT_BUDGET``.
+    Keys go in chunks whose masks fit ``_COMPARE_BYTES`` and whose distinct
+    keys' reference hits fit ``_HIT_BUDGET``.
     """
     g = system.geometry
     if (g.depth_n, g.word_width_w) != (reference.depth_n, reference.word_width_w):
@@ -131,29 +158,29 @@ def equivalence_check(system, reference: ReferenceCam, keys) -> EquivalenceResul
     unit_of = rcb * k + pos
     bit_of = np.left_shift(np.uint32(1), slot.astype(np.uint32))
     step = max(1, _COMPARE_BYTES // (4 * units))
-    # keys[a:b] have total[b] - total[a] reference hits
-    total = np.concatenate(([0], np.cumsum(reference.hit_counts(keys))))
-    start = 0
-    while start < keys.size:
-        fits = int(np.searchsorted(total, total[start] + _HIT_BUDGET, "right"))
-        end = min(keys.size, start + step, max(start + 1, fits - 1))
-        chunk = keys[start:end]
+    for at in _key_chunks(reference, keys, step):
+        chunk = keys[at]
         got = system.match_masks(chunk)
         if got.shape != (units, chunk.size):
             raise ValueError(
                 f"match mask shape {got.shape}, expected {(units, chunk.size)}")
+        # return_index makes numpy sort stably; its default uint64 sort
+        # loads SIMD code that adds 0.6 MB to a small verify run's peak RSS
+        distinct, _, copy_of = np.unique(chunk, return_index=True,
+                                         return_inverse=True)
+        counts, words = reference.hits(distinct)
         # A key's hits are distinct words, so their (unit, slot) bits never
         # collide and adding them ORs them.
-        counts, words = reference.hits(chunk)
-        want = np.zeros((units, chunk.size), dtype=np.uint32)
+        want = np.zeros((units, distinct.size), dtype=np.uint32)
         np.add.at(want.reshape(-1),
-                  unit_of[words] * chunk.size
-                  + np.repeat(np.arange(chunk.size), counts), bit_of[words])
+                  unit_of[words] * distinct.size
+                  + np.repeat(np.arange(distinct.size), counts), bit_of[words])
+        # np.take gives a fresh array to XOR into; want[:, copy_of] is slower
+        want = np.take(want, copy_of, axis=1)
         diff = np.bitwise_xor(got, want, out=want)
         diverged = diff.any(axis=0)
         if diverged.any():
             ki = int(diverged.argmax())
             word = int(np.flatnonzero(diff[unit_of, ki] & bit_of)[0])
             return EquivalenceResult(False, keys.size, (int(chunk[ki]), word))
-        start = end
     return EquivalenceResult(True, keys.size, None)

@@ -163,14 +163,22 @@ def test_compare_gives_the_dense_verdict(arch, depth, width, data):
         ref.load_full(payload)
     index = st.integers(0, depth - 1)
     value = st.integers(0, g.word_mask) | index.map(lambda i: int(payload[i]))
+    # with many duplicate keys, at least one fault is planted
+    duplicates = data.draw(st.booleans(), "many duplicates")
     faults = data.draw(st.lists(st.tuples(
         st.sampled_from(["set", "clear", "reference"]), index, value),
-        max_size=4), "faults")
+        min_size=int(duplicates), max_size=4), "faults")
     # keys: about half from the table, some at the faulted words' old and
     # new values
     touched = [int(payload[i]) for _, i, _ in faults] + [v for *_, v in faults]
     key = value if not touched else value | st.sampled_from(touched)
-    keys = np.array(data.draw(st.lists(key, max_size=40), "keys"),
+    max_keys = 40
+    if duplicates:
+        # a few values, each repeated, the faulted ones among them
+        key = st.sampled_from(touched + data.draw(
+            st.lists(key, min_size=1, max_size=3), "repeated values"))
+        max_keys = 200
+    keys = np.array(data.draw(st.lists(key, max_size=max_keys), "keys"),
                     dtype=np.uint64)
     # a compare before the faults builds the reference's sorted index
     verdict = equivalence_check(engine, ref, keys)
@@ -195,6 +203,20 @@ def test_compare_gives_the_dense_verdict(arch, depth, width, data):
     assert verdict.keys_checked == keys.size
 
 
+def _spy_hits(monkeypatch, ref):
+    """Record (keys, hits) of every ``ref.hits`` call."""
+    calls = []
+    hits = ref.hits
+
+    def counted_hits(keys):
+        counts, words = hits(keys)
+        calls.append((keys.size, words.size))
+        return counts, words
+
+    monkeypatch.setattr(ref, "hits", counted_hits)
+    return calls
+
+
 def test_a_table_of_one_word_keeps_chunks_within_the_hit_budget(monkeypatch):
     g = geometry_for("s2", 65536, 8)
     engine = build_engine(g, record_events=False)
@@ -203,23 +225,28 @@ def test_a_table_of_one_word_keeps_chunks_within_the_hit_budget(monkeypatch):
     ref = ReferenceCam(g.depth_n, 8)
     ref.load_full(payload)
     keys = np.full(1000, 0x5A, dtype=np.uint64)
+    calls = _spy_hits(monkeypatch, ref)
     assert equivalence_check(engine, ref, keys).passed
-
-    budget = 3 * g.depth_n  # three keys' hits
-    monkeypatch.setattr(oracle, "_HIT_BUDGET", budget)
-    per_chunk = []
-    hits = ref.hits
-
-    def counted_hits(chunk):
-        counts, words = hits(chunk)
-        per_chunk.append((chunk.size, words.size))
-        return counts, words
-
-    monkeypatch.setattr(ref, "hits", counted_hits)
-    assert equivalence_check(engine, ref, keys[:10]).passed
-    assert per_chunk == [(3, budget)] * 3 + [(1, g.depth_n)]
-    # one key's N hits may exceed the budget, never two keys'
+    # 1,000 copies of one key cost that key's N hits, not keys x N
+    assert calls == [(1, g.depth_n)]
+    # a budget below one key's hits still takes every copy of it at once
     monkeypatch.setattr(oracle, "_HIT_BUDGET", 10)
-    per_chunk.clear()
+    calls.clear()
     assert equivalence_check(engine, ref, keys[:4]).passed
-    assert per_chunk == [(1, g.depth_n)] * 4
+    assert calls == [(1, g.depth_n)]
+
+
+def test_hit_budget_counts_each_distinct_key_once(monkeypatch):
+    # two words of N/2 copies each; the budget holds one of them
+    g = geometry_for("s2", 4096, 8)
+    engine = build_engine(g, record_events=False)
+    payload = np.where(np.arange(g.depth_n) % 2, 0xA5, 0x5A).astype(np.uint64)
+    engine.update(payload)
+    ref = ReferenceCam(g.depth_n, 8)
+    ref.load_full(payload)
+    half = g.depth_n // 2
+    monkeypatch.setattr(oracle, "_HIT_BUDGET", half)
+    calls = _spy_hits(monkeypatch, ref)
+    keys = np.array([0x5A, 0x5A, 0xA5, 0xA5, 0x5A, 0x11], dtype=np.uint64)
+    assert equivalence_check(engine, ref, keys).passed
+    assert calls == [(1, half), (1, half), (2, half)]
