@@ -13,9 +13,8 @@ overhead, not the two-cycle update itself.
 import argparse
 
 from rcam_sim.bus import calibrated_bus, ideal_bus, update_io_efficiency
-from rcam_sim.engines import S1Engine, build_engine
+from rcam_sim.engines import timing
 from rcam_sim.geometry import geometry_for
-from rcam_sim.payload import generate_payload
 
 
 def partition_sweep(depth: int, width: int) -> None:
@@ -24,8 +23,7 @@ def partition_sweep(depth: int, width: int) -> None:
     p = 1
     while 32 * p * 256 // width <= depth and p <= 64:
         geometry = geometry_for("s3", depth, width, partitions_p=p)
-        engine = build_engine(geometry, record_events=False)
-        trace = engine.update(generate_payload(1, geometry))
+        trace = timing(geometry)
         span = trace.erase_span[1] - trace.erase_span[0] + 1
         print(f"{p:>3}  {span:>10}  {trace.total_cycles:>7}"
               f"  {trace.catch_up_cycles:>8}")
@@ -35,11 +33,9 @@ def partition_sweep(depth: int, width: int) -> None:
 def prefetch_study(depth: int, width: int, overhead: float) -> None:
     print(f"\n== traditional engine, burst overhead {overhead} cycles ==")
     bus = calibrated_bus(1.0, overhead)
+    geometry = geometry_for("s1", depth, width)
     for prefetch in (False, True):
-        geometry = geometry_for("s1", depth, width)
-        engine = S1Engine(geometry, bus, record_events=False,
-                          prefetch_one_beat=prefetch)
-        trace = engine.update(generate_payload(1, geometry))
+        trace = timing(geometry, bus, prefetch_one_beat=prefetch)
         eff = update_io_efficiency(geometry.table_bits, trace.total_cycles, bus)
         label = "1-beat prefetch" if prefetch else "on-demand      "
         print(f"{label}: {trace.total_cycles} cycles, "

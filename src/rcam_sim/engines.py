@@ -1,19 +1,20 @@
 """Cycle-accurate update engines for the three CAM architectures.
 
-The three architectures differ only in *when* things happen.  Each engine's
-``update`` is a pure schedule: three int arrays holding the cycle of every
-bus beat, every erase (per word for s1, per erase-store row for s2/s3) and
-every write (per word for s1, per word group for s2/s3).  One shared
-function, ``_apply_update``, then does what all three share -- the erase
-pass over the old table, the erase-store swap, the optional
-``after_erase`` probe and the write pass -- and builds the
-:class:`UpdateTrace` from the arrays:
+The three architectures differ only in *when* things happen, and payload
+values never change that.  :func:`timing` holds every cycle schedule: from
+the geometry and the bus alone it builds the cycle of every bus beat, every
+erase (per word for s1, per erase-store row for s2/s3) and every write (per
+word for s1, per word group for s2/s3), and the :class:`UpdateTrace`:
 
 * ``total_cycles`` is the last write cycle plus one;
 * the erase and write spans are the extremes of their arrays;
 * a stall is a cycle in [0, total) with neither an erase nor a write;
 * events merge by a stable sort on (cycle, kind rank), the rank being a
   per-architecture intra-cycle order (``_EVENT_ORDER``).
+
+Each engine's ``update`` runs the erase pass over the old table, the
+erase-store swap, the optional ``after_erase`` probe and the write pass
+(``_apply_update``), and returns that trace.
 
 The sorted (cycle, rank, arg) arrays are the trace's only event record:
 :class:`EventColumns` reads them as a sequence of :class:`TraceEvent`
@@ -84,6 +85,7 @@ _EVENT_TEMPLATE = {
     kind: '{"cycle": %d, "kind": "' + kind + '"'
           + (f', "{name}": %d' if name else "") + "}"
     for kind, name in _EVENT_ARG_NAME.items()}
+_ITER_SLICE = 8192
 
 
 class EventColumns:
@@ -106,11 +108,16 @@ class EventColumns:
         return self.cycles.size
 
     def __iter__(self):
-        args = self.args.astype(object)
-        args[self.ranks == self.kinds.index("stall")] = None
-        return map(TraceEvent, self.cycles.tolist(),
-                   np.array(self.kinds, dtype=object)[self.ranks].tolist(),
-                   args.tolist())
+        # One slice at a time: a reader that stops early pays for one slice.
+        kinds = np.array(self.kinds, dtype=object)
+        stall = self.kinds.index("stall")
+        for start in range(0, len(self), _ITER_SLICE):
+            part = slice(start, start + _ITER_SLICE)
+            ranks = self.ranks[part]
+            args = self.args[part].astype(object)
+            args[ranks == stall] = None
+            yield from map(TraceEvent, self.cycles[part].tolist(),
+                           kinds[ranks].tolist(), args.tolist())
 
     def jsonl_lines(self) -> list[str]:
         """Each event's line as ``json.dumps`` writes it, in event order."""
@@ -188,10 +195,7 @@ class _EngineBase:
             raise EngineError(
                 f"geometry is for {geometry.architecture!r}, engine is "
                 f"{self.architecture!r}")
-        if bus.bus_width_b != geometry.bus_width_b:
-            raise EngineError(
-                f"bus width {bus.bus_width_b} != geometry bus width "
-                f"{geometry.bus_width_b}")
+        _check_bus(geometry, bus)
         self.geometry = geometry
         self.bus = bus
         self.record_events = record_events
@@ -215,9 +219,6 @@ class _EngineBase:
             raise EngineError(
                 f"key {key} does not fit {self.geometry.word_width_w} bits")
 
-    def ideal_total_cycles(self) -> int:
-        raise NotImplementedError
-
     def update(self, payload, probe: Callable | None = None) -> UpdateTrace:
         raise NotImplementedError
 
@@ -235,22 +236,12 @@ class S1Engine(_EngineBase):
         # consumption instead of paying it between bursts.
         self.prefetch_one_beat = prefetch_one_beat
 
-    def ideal_total_cycles(self) -> int:
-        return 2 * self.geometry.depth_n
-
     def update(self, payload, probe: Callable | None = None) -> UpdateTrace:
         # Erase and write interleave per word, so no all-erased state exists
         # for a probe to observe.
         if probe is not None:
             raise EngineError("s1 has no all-erased state to probe")
-        g = self.geometry
-        wb = g.words_per_bus_beat
-        starts = demand_schedule(self.bus, g.beat_count, 2 * wb,
-                                 self.prefetch_one_beat)
-        # Word o of a beat is erased 2*o cycles into the beat and written
-        # the cycle after.
-        erases = (starts[:, None] + 2 * np.arange(wb)).ravel()
-        return _apply_update(self, payload, None, starts, erases, erases + 1)
+        return _apply_update(self, payload, None, self.prefetch_one_beat)
 
     def update_word(self, index: int, value: int) -> UpdateTrace:
         """Incremental single-word update: one erase/write pair (2 cycles)."""
@@ -280,17 +271,8 @@ class S2Engine(_EngineBase):
 
     architecture = "s2"
 
-    def ideal_total_cycles(self) -> int:
-        return 2 * self.geometry.beat_count
-
     def update(self, payload, probe: Callable | None = None) -> UpdateTrace:
-        beats = self.geometry.beat_count
-        avail = stream_schedule(self.bus, beats)
-        # Phase E: beat r lands in erase-store row r while the old row clears
-        # its k words the same cycle (dual-port read-before-write).  Phase W:
-        # one row per cycle, starting right after the last erase.
-        writes = np.arange(beats, dtype=np.int64) + (int(avail[-1]) + 1)
-        return _apply_update(self, payload, probe, avail, avail, writes)
+        return _apply_update(self, payload, probe)
 
 
 class S3Engine(_EngineBase):
@@ -298,48 +280,114 @@ class S3Engine(_EngineBase):
 
     architecture = "s3"
 
-    def ideal_total_cycles(self) -> int:
-        g = self.geometry
-        if g.partitions_p == 1:
-            return 2 * g.beat_count  # degenerate: no overlap possible
-        return g.beat_count + 1
-
-    def _write_schedule(self, avail: np.ndarray) -> np.ndarray:
-        """Write cycle of each word group (one wide erase-RAM row)."""
-        g = self.geometry
-        groups = g.erase_row_count
-        # Group g is ready the cycle after its last beat; never before the
-        # erase pass (rows 0..groups-1 at cycles 0..groups-1) has finished.
-        ready = avail[g.partitions_p - 1::g.partitions_p] + 1
-        base = np.maximum(ready, groups)
-        idx = np.arange(groups, dtype=np.int64)
-        return np.maximum.accumulate(base - idx) + idx
-
     def update(self, payload, probe: Callable | None = None) -> UpdateTrace:
-        g = self.geometry
-        beats = g.beat_count
-        groups = g.erase_row_count
-        avail = stream_schedule(self.bus, beats)
-        # The erase pass reads old contents only, so beat arrival never gates
-        # it.  Beat b lands in row b // P no earlier than cycle b >= b // P,
-        # i.e. never before that row's erase read; same-cycle collisions are
-        # shielded by read-before-write, so the pre-pass snapshot is
-        # cycle-exact.  A schedule that breaks this premise is refused.
-        if not bool((avail >= np.arange(beats)).all()):
-            raise EngineError(
-                "bus schedule delivers a beat before the cycle of its index")
-        writes = self._write_schedule(avail)
+        return _apply_update(self, payload, probe)
 
-        # First write-side idle cycle at/after the write start: the moment
-        # the backlog accumulated during the erase pass has drained.
-        if int(writes[0]) > groups:
-            caught_up = groups
-        else:
-            gaps = np.flatnonzero(np.diff(writes) > 1)
-            caught_up = int(writes[gaps[0] if gaps.size else -1]) + 1
-        return _apply_update(self, payload, probe, avail,
-                             np.arange(groups, dtype=np.int64), writes,
-                             catch_up_cycles=caught_up - (groups - 1))
+
+def _apply_update(engine: _EngineBase, payload, probe: Callable | None,
+                  prefetch_one_beat: bool = False) -> UpdateTrace:
+    """Run one full-table update on ``engine``; return its :func:`timing`,
+    built first so that a refused schedule leaves the engine as it was."""
+    payload = _as_payload(engine.geometry, payload)
+    trace = timing(engine.geometry, engine.bus, prefetch_one_beat,
+                   engine.record_events)
+    engine.cam.apply_full_table(engine.eram.stored_words(), 0)  # erase pass
+    engine.eram.store_words(payload)
+    if probe is not None:
+        probe("after_erase", engine)
+    engine.cam.apply_full_table(payload, 1)  # write pass
+    return trace
+
+
+def _check_bus(geometry: CamGeometry, bus: BusModel) -> None:
+    if bus.bus_width_b != geometry.bus_width_b:
+        raise EngineError(
+            f"bus width {bus.bus_width_b} != geometry bus width "
+            f"{geometry.bus_width_b}")
+
+
+def ideal_total_cycles(geometry: CamGeometry) -> int:
+    """Cycles of one full-table update on the ideal bus."""
+    if geometry.architecture == "s1":
+        return 2 * geometry.depth_n
+    if geometry.architecture == "s3" and geometry.partitions_p > 1:
+        return geometry.beat_count + 1
+    return 2 * geometry.beat_count  # s2, and s3 with no overlap (P = 1)
+
+
+def timing(geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
+           prefetch_one_beat: bool = False,
+           record_events: bool = False) -> UpdateTrace:
+    """The trace of one full-table update, from its cycle schedule alone.
+
+    This takes no payload and no engine.  ``beats[b]`` is the arrival cycle
+    of bus beat b; ``erases[i]`` and ``writes[i]`` are the cycles of erase i
+    and write i, which handle word i in s1, and erase-store row i or word
+    group i in s2 and s3.
+    """
+    _check_bus(geometry, bus)
+    g = geometry
+    catch_up = None
+    if g.architecture == "s1":
+        wb = g.words_per_bus_beat
+        beats = demand_schedule(bus, g.beat_count, 2 * wb, prefetch_one_beat)
+        # Word o of a beat is erased 2*o cycles into the beat and written
+        # the cycle after.
+        erases = (beats[:, None] + 2 * np.arange(wb)).ravel()
+        writes = erases + 1
+    elif prefetch_one_beat:
+        raise EngineError(f"{g.architecture} streams its beats: no prefetch")
+    elif g.architecture == "s2":
+        # Phase E: beat r lands in erase-store row r while the old row clears
+        # its k words the same cycle (dual-port read-before-write).  Phase W:
+        # one row per cycle, starting right after the last erase.
+        beats = erases = stream_schedule(bus, g.beat_count)
+        writes = np.arange(g.beat_count, dtype=np.int64) + (int(beats[-1]) + 1)
+    else:
+        beats = stream_schedule(bus, g.beat_count)
+        erases = np.arange(g.erase_row_count, dtype=np.int64)
+        writes, catch_up = _s3_writes(g, beats)
+
+    total = int(writes.max()) + 1
+    events = None
+    if record_events:
+        events = _events(_EVENT_ORDER[g.architecture], total, beats, erases,
+                         writes)
+    return UpdateTrace(
+        architecture=g.architecture, depth_n=g.depth_n,
+        word_width_w=g.word_width_w, total_cycles=total,
+        bus_read_cycles=beats.size,
+        stall_cycles=total - ideal_total_cycles(g),
+        erase_span=(int(erases.min()), int(erases.max())),
+        write_span=(int(writes.min()), int(writes.max())),
+        catch_up_cycles=catch_up, events=events)
+
+
+def _s3_writes(g: CamGeometry, avail: np.ndarray) -> tuple[np.ndarray, int]:
+    """Write cycle of each s3 word group, and the catch-up length."""
+    groups = g.erase_row_count
+    # The erase pass reads old contents only, so beat arrival never gates
+    # it.  Beat b lands in row b // P no earlier than cycle b >= b // P,
+    # i.e. never before that row's erase read; same-cycle collisions are
+    # shielded by read-before-write, so the pre-pass snapshot is
+    # cycle-exact.  A schedule that breaks this premise is refused.
+    if not bool((avail >= np.arange(g.beat_count)).all()):
+        raise EngineError(
+            "bus schedule delivers a beat before the cycle of its index")
+    # Group g is ready the cycle after its last beat; never before the
+    # erase pass (rows 0..groups-1 at cycles 0..groups-1) has finished.
+    ready = avail[g.partitions_p - 1::g.partitions_p] + 1
+    base = np.maximum(ready, groups)
+    idx = np.arange(groups, dtype=np.int64)
+    writes = np.maximum.accumulate(base - idx) + idx
+    # First write-side idle cycle at/after the write start: the moment
+    # the backlog accumulated during the erase pass has drained.
+    if int(writes[0]) > groups:
+        caught_up = groups
+    else:
+        gaps = np.flatnonzero(np.diff(writes) > 1)
+        caught_up = int(writes[gaps[0] if gaps.size else -1]) + 1
+    return writes, caught_up - (groups - 1)
 
 
 # Intra-cycle event order of each architecture.  In s1 and s2 a beat lands
@@ -351,38 +399,6 @@ _EVENT_ORDER = {
     "s2": ("beat", "erase_row", "write_row", "stall"),
     "s3": ("erase_row", "beat", "write_row", "stall"),
 }
-
-
-def _apply_update(engine: _EngineBase, payload, probe: Callable | None,
-                  beats: np.ndarray, erases: np.ndarray, writes: np.ndarray,
-                  catch_up_cycles: int | None = None) -> UpdateTrace:
-    """Run one full-table update on ``engine`` and trace it from its schedule.
-
-    ``beats[b]`` is the arrival cycle of bus beat b; ``erases[i]`` and
-    ``writes[i]`` are the cycles of erase i and write i, which handle word i
-    in s1, and erase-store row i or word group i in s2 and s3.
-    """
-    g = engine.geometry
-    payload = _as_payload(g, payload)
-    engine.cam.apply_full_table(engine.eram.stored_words(), 0)  # erase pass
-    engine.eram.store_words(payload)
-    if probe is not None:
-        probe("after_erase", engine)
-    engine.cam.apply_full_table(payload, 1)  # write pass
-
-    total = int(writes.max()) + 1
-    events = None
-    if engine.record_events:
-        events = _events(_EVENT_ORDER[engine.architecture], total, beats,
-                         erases, writes)
-    return UpdateTrace(
-        architecture=engine.architecture, depth_n=g.depth_n,
-        word_width_w=g.word_width_w, total_cycles=total,
-        bus_read_cycles=beats.size,
-        stall_cycles=total - engine.ideal_total_cycles(),
-        erase_span=(int(erases.min()), int(erases.max())),
-        write_span=(int(writes.min()), int(writes.max())),
-        catch_up_cycles=catch_up_cycles, events=events)
 
 
 def _events(order: tuple[str, ...], total: int, beats: np.ndarray,

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcam_sim.bus import calibrated_bus, ideal_bus
-from rcam_sim.engines import EngineError, S1Engine, build_engine
-from rcam_sim.geometry import geometry_for
+from rcam_sim.engines import (EngineError, S1Engine, build_engine,
+                              ideal_total_cycles, timing)
+from rcam_sim.geometry import ARCHITECTURES, geometry_for
 from rcam_sim.oracle import ReferenceCam, equivalence_check
 from rcam_sim.payload import generate_payload
 
@@ -165,6 +168,10 @@ def test_s3_refuses_a_beat_before_its_index(monkeypatch):
                         lambda bus, count: np.zeros(count, dtype=np.int64))
     with pytest.raises(EngineError, match="before the cycle of its index"):
         engine.update(generate_payload(1, g))
+    with pytest.raises(EngineError, match="before the cycle of its index"):
+        timing(g)
+    # the schedule is refused before either pass touches the CAM
+    assert engine.cam.is_zero()
 
 
 def test_s3_write_waits_for_beats_and_erase():
@@ -209,6 +216,39 @@ def test_trace_determinism():
     assert a.to_jsonl() == b.to_jsonl()
 
 
+@given(arch=st.sampled_from(ARCHITECTURES),
+       depth=st.sampled_from([1024, 2048, 4096, 8192]),
+       width=st.sampled_from([8, 16, 32, 64]),
+       bus_width=st.sampled_from([64, 256]),
+       partitions=st.sampled_from([1, 2, 4, 8]),
+       calibrated=st.booleans(),
+       eta=st.integers(500, 1000).map(lambda m: m / 1000),
+       overhead=st.integers(0, 400).map(lambda c: c / 100),
+       prefetch=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_timing_is_the_update_trace(arch, depth, width, bus_width, partitions,
+                                    calibrated, eta, overhead, prefetch):
+    # timing() needs no payload and no engine, yet traces the same update
+    g = geometry_for(arch, depth, width, bus_width, partitions)
+    bus = (calibrated_bus(eta, overhead, bus_width) if calibrated
+           else ideal_bus(bus_width))
+    prefetch = prefetch and arch == "s1"
+    kwargs = {"prefetch_one_beat": True} if prefetch else {}
+    engine = build_engine(g, bus, record_events=True, **kwargs)
+    updated = engine.update(generate_payload(7, g))
+    timed = timing(g, bus, prefetch_one_beat=prefetch, record_events=True)
+    assert timed.summary() == updated.summary()
+    assert timed.to_jsonl() == updated.to_jsonl()
+    assert timing(g, bus, prefetch).events is None
+
+
+def test_timing_rejects_what_the_engines_reject():
+    with pytest.raises(EngineError, match="bus width"):
+        timing(geometry_for("s2", 1024, 8), ideal_bus(bus_width_b=128))
+    with pytest.raises(EngineError, match="prefetch"):
+        timing(geometry_for("s3", 1024, 8), prefetch_one_beat=True)
+
+
 # -- bus coupling -------------------------------------------------------------
 
 def test_s1_calibrated_adds_burst_overhead_only():
@@ -243,8 +283,8 @@ def test_streamed_engines_wait_for_beats(arch):
     engine = build_engine(g, bus, record_events=True)
     payload = generate_payload(4, g)
     trace = engine.update(payload)
-    assert trace.total_cycles > engine.ideal_total_cycles()
-    assert trace.stall_cycles == trace.total_cycles - engine.ideal_total_cycles()
+    assert trace.total_cycles > ideal_total_cycles(g)
+    assert trace.stall_cycles == trace.total_cycles - ideal_total_cycles(g)
     # correctness unaffected by stalls
     ref = ReferenceCam(2048, 8)
     ref.load_full(payload)
