@@ -54,3 +54,6 @@ def test_partition_sensitivity_runs(monkeypatch, capsys):
     stdout = capsys.readouterr().out
     assert "== partition sweep at 4096x16, ideal bus ==" in stdout
     assert "1-beat prefetch" in stdout
+    # cycle counts, spans, catch-up lengths and stalls are fixed outputs
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == (
+        "ef18969b139f1c57b5f1aef9b84b818d6c221bd4e0db191be067c79a9978a3eb")
