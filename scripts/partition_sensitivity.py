@@ -13,7 +13,7 @@ overhead, not the two-cycle update itself.
 import argparse
 
 from rcam_sim.bus import calibrated_bus, ideal_bus, update_io_efficiency
-from rcam_sim.engines import timing
+from rcam_sim.engines import ideal_total_cycles, timing
 from rcam_sim.geometry import geometry_for
 
 
@@ -41,7 +41,7 @@ def prefetch_study(depth: int, width: int, overhead: float) -> None:
         print(f"{label}: {trace.total_cycles} cycles, "
               f"{100 * eff:.2f}% of bus bandwidth "
               f"(stalls {trace.stall_cycles})")
-    ideal = 2 * depth
+    ideal = ideal_total_cycles(geometry)
     print(f"ideal-bus floor: {ideal} cycles, "
           f"{100 * update_io_efficiency(depth * width, ideal, ideal_bus()):.2f}%")
 
