@@ -1,10 +1,11 @@
 """Cycle-accurate update engines for the three CAM architectures.
 
 The three architectures differ only in *when* things happen, and payload
-values never change that.  :func:`timing` holds every cycle schedule: from
+values never change that.  ``_schedule`` holds every cycle schedule: from
 the geometry and the bus alone it builds the cycle of every bus beat, every
 erase (per word for s1, per erase-store row for s2/s3) and every write (per
-word for s1, per word group for s2/s3), and the :class:`UpdateTrace`:
+word for s1, per word group for s2/s3).  ``_trace`` builds the
+:class:`UpdateTrace` from them, and :func:`timing` is the two together:
 
 * ``total_cycles`` is the last write cycle plus one;
 * the erase and write spans are the extremes of their arrays;
@@ -12,9 +13,9 @@ word for s1, per word group for s2/s3), and the :class:`UpdateTrace`:
 * events merge by a stable sort on (cycle, kind rank), the rank being a
   per-architecture intra-cycle order (``_EVENT_ORDER``).
 
-Each engine's ``update`` runs the erase pass over the old table, the
-erase-store swap, the optional ``after_erase`` probe and the write pass
-(``_apply_update``), and returns that trace.
+Each engine's ``update`` (``_apply_update``) builds the schedule, runs the
+erase pass over the old table, the erase-store swap, the optional
+``after_erase`` probe and the write pass, and returns the trace.
 
 The sorted (cycle, rank, arg) arrays are the trace's only event record:
 :class:`EventColumns` reads them as a sequence of :class:`TraceEvent`
@@ -85,7 +86,6 @@ _EVENT_TEMPLATE = {
     kind: '{"cycle": %d, "kind": "' + kind + '"'
           + (f', "{name}": %d' if name else "") + "}"
     for kind, name in _EVENT_ARG_NAME.items()}
-_ITER_SLICE = 8192
 
 
 class EventColumns:
@@ -108,16 +108,11 @@ class EventColumns:
         return self.cycles.size
 
     def __iter__(self):
-        # One slice at a time: a reader that stops early pays for one slice.
-        kinds = np.array(self.kinds, dtype=object)
-        stall = self.kinds.index("stall")
-        for start in range(0, len(self), _ITER_SLICE):
-            part = slice(start, start + _ITER_SLICE)
-            ranks = self.ranks[part]
-            args = self.args[part].astype(object)
-            args[ranks == stall] = None
-            yield from map(TraceEvent, self.cycles[part].tolist(),
-                           kinds[ranks].tolist(), args.tolist())
+        args = self.args.astype(object)
+        args[self.ranks == self.kinds.index("stall")] = None
+        return map(TraceEvent, self.cycles.tolist(),
+                   np.array(self.kinds, dtype=object)[self.ranks].tolist(),
+                   args.tolist())
 
     def jsonl_lines(self) -> list[str]:
         """Each event's line as ``json.dumps`` writes it, in event order."""
@@ -286,17 +281,17 @@ class S3Engine(_EngineBase):
 
 def _apply_update(engine: _EngineBase, payload, probe: Callable | None,
                   prefetch_one_beat: bool = False) -> UpdateTrace:
-    """Run one full-table update on ``engine``; return its :func:`timing`,
-    built first so that a refused schedule leaves the engine as it was."""
-    payload = _as_payload(engine.geometry, payload)
-    trace = timing(engine.geometry, engine.bus, prefetch_one_beat,
-                   engine.record_events)
+    """Run one full-table update on ``engine`` and trace it.  The schedule
+    is built first, so that one it refuses leaves the engine as it was."""
+    g = engine.geometry
+    schedule = _schedule(g, engine.bus, prefetch_one_beat)
+    payload = _as_payload(g, payload)
     engine.cam.apply_full_table(engine.eram.stored_words(), 0)  # erase pass
     engine.eram.store_words(payload)
     if probe is not None:
         probe("after_erase", engine)
     engine.cam.apply_full_table(payload, 1)  # write pass
-    return trace
+    return _trace(g, *schedule, engine.record_events)
 
 
 def _check_bus(geometry: CamGeometry, bus: BusModel) -> None:
@@ -318,36 +313,41 @@ def ideal_total_cycles(geometry: CamGeometry) -> int:
 def timing(geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
            prefetch_one_beat: bool = False,
            record_events: bool = False) -> UpdateTrace:
-    """The trace of one full-table update, from its cycle schedule alone.
-
-    This takes no payload and no engine.  ``beats[b]`` is the arrival cycle
-    of bus beat b; ``erases[i]`` and ``writes[i]`` are the cycles of erase i
-    and write i, which handle word i in s1, and erase-store row i or word
-    group i in s2 and s3.
-    """
+    """The trace that ``update`` returns, from the cycle schedule alone:
+    this takes no payload and builds no engine."""
     _check_bus(geometry, bus)
-    g = geometry
-    catch_up = None
+    return _trace(geometry, *_schedule(geometry, bus, prefetch_one_beat),
+                  record_events)
+
+
+def _schedule(g: CamGeometry, bus: BusModel, prefetch_one_beat: bool):
+    """The (beats, erases, writes, catch-up) schedule of one update.
+
+    ``beats[b]`` is the arrival cycle of bus beat b; ``erases[i]`` and
+    ``writes[i]`` are the cycles of erase i and write i, which handle word i
+    in s1, and erase-store row i or word group i in s2 and s3.
+    """
     if g.architecture == "s1":
         wb = g.words_per_bus_beat
         beats = demand_schedule(bus, g.beat_count, 2 * wb, prefetch_one_beat)
         # Word o of a beat is erased 2*o cycles into the beat and written
         # the cycle after.
         erases = (beats[:, None] + 2 * np.arange(wb)).ravel()
-        writes = erases + 1
-    elif prefetch_one_beat:
-        raise EngineError(f"{g.architecture} streams its beats: no prefetch")
-    elif g.architecture == "s2":
+        return beats, erases, erases + 1, None
+    beats = stream_schedule(bus, g.beat_count)
+    if g.architecture == "s2":
         # Phase E: beat r lands in erase-store row r while the old row clears
         # its k words the same cycle (dual-port read-before-write).  Phase W:
         # one row per cycle, starting right after the last erase.
-        beats = erases = stream_schedule(bus, g.beat_count)
         writes = np.arange(g.beat_count, dtype=np.int64) + (int(beats[-1]) + 1)
-    else:
-        beats = stream_schedule(bus, g.beat_count)
-        erases = np.arange(g.erase_row_count, dtype=np.int64)
-        writes, catch_up = _s3_writes(g, beats)
+        return beats, beats, writes, None
+    return (beats, np.arange(g.erase_row_count, dtype=np.int64),
+            *_s3_writes(g, beats))
 
+
+def _trace(g: CamGeometry, beats: np.ndarray, erases: np.ndarray,
+           writes: np.ndarray, catch_up: int | None,
+           record_events: bool) -> UpdateTrace:
     total = int(writes.max()) + 1
     events = None
     if record_events:

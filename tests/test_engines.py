@@ -245,8 +245,6 @@ def test_timing_is_the_update_trace(arch, depth, width, bus_width, partitions,
 def test_timing_rejects_what_the_engines_reject():
     with pytest.raises(EngineError, match="bus width"):
         timing(geometry_for("s2", 1024, 8), ideal_bus(bus_width_b=128))
-    with pytest.raises(EngineError, match="prefetch"):
-        timing(geometry_for("s3", 1024, 8), prefetch_one_beat=True)
 
 
 # -- bus coupling -------------------------------------------------------------

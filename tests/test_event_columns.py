@@ -9,7 +9,6 @@ Both see the same schedule arrays as the engine, captured from
 import json
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,29 +91,6 @@ def test_columns_give_the_old_events_and_bytes(arch, depth, width, bus_width,
     _check_equal(list(trace.events), old)
     _check_equal(trace.to_jsonl().split("\n"),
                  _old_jsonl(trace, old).split("\n"))
-
-
-def test_iteration_converts_slice_by_slice():
-    # 8,192 x 8 in s1 is 16,640 events, so iteration crosses two slices
-    g = geometry_for("s1", 8192, 8)
-    trace, old = _traced_update(build_engine(g, record_events=True),
-                                generate_payload(2, g))
-    assert len(old) > 2 * engines._ITER_SLICE
-    assert next(iter(trace.events)) == old[0]
-    _check_equal(list(trace.events), old)
-    # a reader that stops early converts only the first slice
-    converted = []
-
-    class Column(np.ndarray):
-        def tolist(self):
-            converted.append(self.size)
-            return super().tolist()
-
-    events = trace.events
-    spied = engines.EventColumns(events.kinds, events.cycles.view(Column),
-                                 events.ranks, events.args)
-    assert next(iter(spied)) == old[0]
-    assert converted == [engines._ITER_SLICE]
 
 
 def test_update_word_records_its_two_events():
