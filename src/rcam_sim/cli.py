@@ -196,7 +196,7 @@ def _cmd_verify(args) -> int:
         depth = depths[int(r[1]) % len(depths)]
         width = widths[int(r[2]) % len(widths)]
         geometry = geometry_for(arch, depth, width)
-        engine = build_engine(geometry, record_events=False)
+        engine = build_engine(geometry)
         reference = ReferenceCam(depth, width)
         verdict = None
         for round_no in range(2):

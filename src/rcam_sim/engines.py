@@ -5,7 +5,8 @@ values never change that.  ``_schedule`` holds every cycle schedule: from
 the geometry and the bus alone it builds the cycle of every bus beat, every
 erase (per word for s1, per erase-store row for s2/s3) and every write (per
 word for s1, per word group for s2/s3).  ``_trace`` builds the
-:class:`UpdateTrace` from them, and :func:`timing` is the two together:
+:class:`UpdateTrace` from them, and :func:`timing`, the two together, is
+the only code that turns a bus into a trace:
 
 * ``total_cycles`` is the last write cycle plus one;
 * the erase and write spans are the extremes of their arrays;
@@ -13,9 +14,12 @@ word for s1, per word group for s2/s3).  ``_trace`` builds the
 * events merge by a stable sort on (cycle, kind rank), the rank being a
   per-architecture intra-cycle order (``_EVENT_ORDER``).
 
-Each engine's ``update`` (``_apply_update``) builds the schedule, runs the
-erase pass over the old table, the erase-store swap, the optional
-``after_erase`` probe and the write pass, and returns the trace.
+The engines model only the memory and take only a geometry.  Each
+engine's ``update`` (``_apply_update``) first takes ``timing(geometry)``, so
+that a schedule it refuses leaves the CAM as it was.  It then checks the
+payload, runs the erase pass over the old table, the erase-store swap, the
+optional ``after_erase`` probe and the write pass, and returns that
+ideal-bus trace, without events.
 
 The sorted (cycle, rank, arg) arrays are the trace's only event record:
 :class:`EventColumns` reads them as a sequence of :class:`TraceEvent`
@@ -184,16 +188,12 @@ def _as_payload(geometry: CamGeometry, payload) -> np.ndarray:
 class _EngineBase:
     architecture = ""
 
-    def __init__(self, geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
-                 record_events: bool = True):
+    def __init__(self, geometry: CamGeometry):
         if geometry.architecture != self.architecture:
             raise EngineError(
                 f"geometry is for {geometry.architecture!r}, engine is "
                 f"{self.architecture!r}")
-        _check_bus(geometry, bus)
         self.geometry = geometry
-        self.bus = bus
-        self.record_events = record_events
         self.cam = RcamArray(geometry)
         self.eram = EraseStore(geometry)
 
@@ -202,9 +202,6 @@ class _EngineBase:
     def search(self, key: int) -> np.ndarray:
         self._check_key(key)
         return self.cam.search(key)
-
-    def search_batch(self, keys) -> np.ndarray:
-        return self.cam.search_batch(keys)
 
     def match_masks(self, keys) -> np.ndarray:
         return self.cam.match_masks(keys)
@@ -223,20 +220,12 @@ class S1Engine(_EngineBase):
 
     architecture = "s1"
 
-    def __init__(self, geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
-                 record_events: bool = True, prefetch_one_beat: bool = False):
-        super().__init__(geometry, bus, record_events)
-        # Sensitivity knob: request the next beat when consumption of the
-        # current one starts, hiding burst overhead behind the 2*(B/W)-cycle
-        # consumption instead of paying it between bursts.
-        self.prefetch_one_beat = prefetch_one_beat
-
     def update(self, payload, probe: Callable | None = None) -> UpdateTrace:
         # Erase and write interleave per word, so no all-erased state exists
         # for a probe to observe.
         if probe is not None:
             raise EngineError("s1 has no all-erased state to probe")
-        return _apply_update(self, payload, None, self.prefetch_one_beat)
+        return _apply_update(self, payload, None)
 
     def update_word(self, index: int, value: int) -> UpdateTrace:
         """Incremental single-word update: one erase/write pair (2 cycles)."""
@@ -248,13 +237,11 @@ class S1Engine(_EngineBase):
         self.cam.apply_word(index, int(self.eram.words[index]), 0)
         self.eram.words[index] = value
         self.cam.apply_word(index, value, 1)
-        events = None
-        if self.record_events:
-            order = _EVENT_ORDER["s1"]
-            events = EventColumns(
-                order, np.array([0, 1]),
-                np.array([order.index("erase"), order.index("write")]),
-                np.array([index, index]))
+        order = _EVENT_ORDER["s1"]
+        events = EventColumns(
+            order, np.array([0, 1]),
+            np.array([order.index("erase"), order.index("write")]),
+            np.array([index, index]))
         return UpdateTrace(
             architecture="s1", depth_n=g.depth_n, word_width_w=g.word_width_w,
             total_cycles=2, bus_read_cycles=0, stall_cycles=0,
@@ -279,26 +266,19 @@ class S3Engine(_EngineBase):
         return _apply_update(self, payload, probe)
 
 
-def _apply_update(engine: _EngineBase, payload, probe: Callable | None,
-                  prefetch_one_beat: bool = False) -> UpdateTrace:
-    """Run one full-table update on ``engine`` and trace it.  The schedule
-    is built first, so that one it refuses leaves the engine as it was."""
-    g = engine.geometry
-    schedule = _schedule(g, engine.bus, prefetch_one_beat)
-    payload = _as_payload(g, payload)
+def _apply_update(engine: _EngineBase, payload,
+                  probe: Callable | None) -> UpdateTrace:
+    """Run one full-table update on ``engine``; return its ideal-bus trace.
+    The schedule is taken first, so that one it refuses leaves the engine as
+    it was."""
+    trace = timing(engine.geometry)
+    payload = _as_payload(engine.geometry, payload)
     engine.cam.apply_full_table(engine.eram.stored_words(), 0)  # erase pass
     engine.eram.store_words(payload)
     if probe is not None:
         probe("after_erase", engine)
     engine.cam.apply_full_table(payload, 1)  # write pass
-    return _trace(g, *schedule, engine.record_events)
-
-
-def _check_bus(geometry: CamGeometry, bus: BusModel) -> None:
-    if bus.bus_width_b != geometry.bus_width_b:
-        raise EngineError(
-            f"bus width {bus.bus_width_b} != geometry bus width "
-            f"{geometry.bus_width_b}")
+    return trace
 
 
 def ideal_total_cycles(geometry: CamGeometry) -> int:
@@ -313,9 +293,14 @@ def ideal_total_cycles(geometry: CamGeometry) -> int:
 def timing(geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
            prefetch_one_beat: bool = False,
            record_events: bool = False) -> UpdateTrace:
-    """The trace that ``update`` returns, from the cycle schedule alone:
-    this takes no payload and builds no engine."""
-    _check_bus(geometry, bus)
+    """The trace of one full-table update on ``bus``, from the cycle
+    schedule alone: this takes no payload and builds no engine.
+    ``prefetch_one_beat`` is the s1 sensitivity knob of ``demand_schedule``.
+    """
+    if bus.bus_width_b != geometry.bus_width_b:
+        raise EngineError(
+            f"bus width {bus.bus_width_b} != geometry bus width "
+            f"{geometry.bus_width_b}")
     return _trace(geometry, *_schedule(geometry, bus, prefetch_one_beat),
                   record_events)
 
@@ -423,6 +408,5 @@ def _events(order: tuple[str, ...], total: int, beats: np.ndarray,
 _ENGINES = {"s1": S1Engine, "s2": S2Engine, "s3": S3Engine}
 
 
-def build_engine(geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
-                 record_events: bool = True, **kwargs) -> _EngineBase:
-    return _ENGINES[geometry.architecture](geometry, bus, record_events, **kwargs)
+def build_engine(geometry: CamGeometry) -> _EngineBase:
+    return _ENGINES[geometry.architecture](geometry)

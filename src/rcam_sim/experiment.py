@@ -21,7 +21,7 @@ from ._version import __version__
 from .bus import BusModel, update_io_efficiency, update_throughput_gbps
 from .calibration import (DEFAULT_CALIBRATED_ETA, DEFAULT_CALIBRATED_OVERHEAD,
                           CalibrationResult)
-from .engines import build_engine
+from .engines import build_engine, timing
 from .geometry import (ARCHITECTURES, CamGeometry, check_partitions,
                        geometry_for)
 from .oracle import ReferenceCam, equivalence_check
@@ -314,18 +314,21 @@ def run_experiment(config: ExperimentConfig,
                    calibration: CalibrationResult | None = None) -> EfficiencyReport:
     """Run the selected architectures at one geometry and report.
 
-    Any oracle divergence aborts the run with diagnostics; verification can
-    be disabled through the config.
+    Every trace comes from the cycle schedule (``timing``).  An engine is
+    built and updated only to verify the table against the reference; any
+    oracle divergence aborts the run with diagnostics.  The payload is
+    resolved even when verification is off, so a bad payload file fails.
     """
     bus = config.bus()
     results = []
     for arch in config.architectures:
         geometry = config.geometries[arch]
         payload = _resolve_payload(config, geometry)
-        engine = build_engine(geometry, bus, record_events=config.record_events)
-        trace = engine.update(payload)
+        trace = timing(geometry, bus, record_events=config.record_events)
         oracle_info = {"keys_checked": 0, "passed": None}
         if config.verify_oracle and config.key_count:
+            engine = build_engine(geometry)
+            engine.update(payload)
             reference = ReferenceCam(geometry.depth_n, geometry.word_width_w)
             reference.load_full(payload)
             keys = search_keys(config.seed, payload, geometry, config.key_count)

@@ -54,6 +54,8 @@ class ReferenceCam:
         arr = np.asarray(payload, dtype=np.uint64)
         if arr.shape != (self.depth_n,):
             raise ValueError(f"payload must hold {self.depth_n} words")
+        if int(arr.max()) > self.word_mask:
+            raise ValueError(f"payload word wider than {self.word_width_w} bits")
         self.words[:] = arr
         self.occupied[:] = True
         self._sorted = None

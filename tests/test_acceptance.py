@@ -10,7 +10,7 @@ import pytest
 
 from rcam_sim.bus import ideal_bus, update_io_efficiency
 from rcam_sim.calibration import calibrate
-from rcam_sim.engines import build_engine
+from rcam_sim.engines import build_engine, timing
 from rcam_sim.experiment import ExperimentConfig, run_experiment
 from rcam_sim.geometry import geometry_for, map_word_index, word_index_of
 from rcam_sim.oracle import ReferenceCam, equivalence_check
@@ -38,7 +38,7 @@ def test_criterion_1_oracle_equivalence():
         for depth in (1024, 4096):
             for width in (8, 16, 32, 64):
                 geometry = geometry_for(arch, depth, width)
-                engine = build_engine(geometry, record_events=False)
+                engine = build_engine(geometry)
                 reference = ReferenceCam(depth, width)
                 salt = np.uint64((depth * width) ^ len(arch))
                 for pass_no in range(100):
@@ -68,8 +68,7 @@ def test_criterion_2_ideal_cycle_identities():
         beats = depth * width // 256
         for arch in ARCHS:
             geometry = geometry_for(arch, depth, width)
-            engine = build_engine(geometry, record_events=False)
-            trace = engine.update(generate_payload(1, geometry))
+            trace = timing(geometry)
             if arch == "s1":
                 assert trace.total_cycles == 2 * depth
             elif arch == "s2":
@@ -87,8 +86,7 @@ def test_criterion_2_ideal_cycle_identities():
 
 def test_criterion_3_s3_catch_up():
     geometry = geometry_for("s3", 65536, 8)
-    engine = build_engine(geometry, record_events=False)
-    trace = engine.update(generate_payload(1, geometry))
+    trace = timing(geometry)
     assert trace.catch_up_cycles in (36, 37)
     _report(f"criterion 3 PASS: flagship write backlog drains in "
             f"{trace.catch_up_cycles} cycles (36-37 accepted)")
@@ -129,8 +127,7 @@ def test_criterion_6_ideal_ceilings():
     for depth, width in SWEEP:
         for arch in ARCHS:
             geometry = geometry_for(arch, depth, width)
-            engine = build_engine(geometry, record_events=False)
-            trace = engine.update(generate_payload(1, geometry))
+            trace = timing(geometry)
             effs[(arch, width)] = update_io_efficiency(
                 geometry.table_bits, trace.total_cycles, ideal_bus())
     assert effs[("s1", 64)] == 0.125  # W/(2B), exact
@@ -160,7 +157,7 @@ def test_criterion_7_invariant_suite():
     # post-erase zero state and erase-before-write ordering
     for arch in ("s2", "s3"):
         geometry = geometry_for(arch, 2048, 16)
-        engine = build_engine(geometry, record_events=True)
+        engine = build_engine(geometry)
         engine.update(generate_payload(1, geometry))
         seen = []
 
@@ -168,8 +165,9 @@ def test_criterion_7_invariant_suite():
             seen.append(stage)
             assert eng.cam.is_zero()
 
-        trace = engine.update(generate_payload(2, geometry), probe=probe)
+        engine.update(generate_payload(2, geometry), probe=probe)
         assert seen == ["after_erase"]
+        trace = timing(geometry, record_events=True)
         erase_by_row, write_by_row = {}, {}
         for ev in trace.events:
             if ev.kind == "erase_row":
@@ -181,7 +179,7 @@ def test_criterion_7_invariant_suite():
 
     # AND-law for W > 8 against the reference scan
     geometry = geometry_for("s2", 1024, 32)
-    engine = build_engine(geometry, record_events=False)
+    engine = build_engine(geometry)
     payload = generate_payload(3, geometry)
     engine.update(payload)
     for key in map(int, payload[:16]):
@@ -197,9 +195,8 @@ def test_criterion_7_invariant_suite():
 
     # determinism of traces and reports
     def one_trace():
-        g = geometry_for("s3", 2048, 8)
-        e = build_engine(g, record_events=True)
-        return e.update(generate_payload(7, g)).to_jsonl()
+        return timing(geometry_for("s3", 2048, 8),
+                      record_events=True).to_jsonl()
 
     assert one_trace() == one_trace()
     config = ExperimentConfig(depth_n=1024, word_width_w=8, key_count=64)

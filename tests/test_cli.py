@@ -73,6 +73,15 @@ def test_run_rejects_bad_geometry(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_no_verify_still_checks_the_payload_file(tmp_path, capsys):
+    short = tmp_path / "short.bin"
+    short.write_bytes(bytes(1023))  # 1024x8 needs 1,024 bytes
+    rc = main(["run", "--arch", "s2", "--depth", "1024", "--width", "8",
+               "--no-verify", "--payload", str(short)])
+    assert rc == 1
+    assert "payload file too short" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [
     ["run", "--arch", "s3", "--width", "0"],
     ["run", "--bus-width", "0"],

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rcam_sim.bus import calibrated_bus, ideal_bus
 from rcam_sim.engines import (EngineError, S1Engine, build_engine,
@@ -13,40 +11,39 @@ from rcam_sim.payload import generate_payload
 GRID = [(1024, 8), (1024, 64), (2048, 16), (4096, 8), (4096, 32), (8192, 64)]
 
 
-def run(arch, depth, width, bus=None, seed=1, record_events=False, **kw):
+def run(arch, depth, width, bus=None, record_events=False, prefetch=False):
+    """The geometry and the ``timing`` trace of one update."""
     g = geometry_for(arch, depth, width)
-    engine = build_engine(g, bus or ideal_bus(), record_events=record_events, **kw)
-    trace = engine.update(generate_payload(seed, g))
-    return g, engine, trace
+    return g, timing(g, bus or ideal_bus(), prefetch, record_events)
 
 
 # -- latency identities -------------------------------------------------------
 
 def test_s1_two_cycles_per_word():
-    _, _, trace = run("s1", 64, 8)
+    _, trace = run("s1", 64, 8)
     assert trace.total_cycles == 128
 
 
 def test_s1_flagship_total():
-    _, _, trace = run("s1", 65536, 8)
+    _, trace = run("s1", 65536, 8)
     assert trace.total_cycles == 131072
 
 
 @pytest.mark.parametrize("depth,width", GRID)
 def test_ideal_latency_formulas(depth, width):
     beats = depth * width // 256
-    _, _, t1 = run("s1", depth, width)
+    _, t1 = run("s1", depth, width)
     assert t1.total_cycles == 2 * depth
-    _, _, t2 = run("s2", depth, width)
+    _, t2 = run("s2", depth, width)
     assert t2.total_cycles == 2 * beats
-    g3, _, t3 = run("s3", depth, width)
+    g3, t3 = run("s3", depth, width)
     if g3.partitions_p >= 2:
         assert beats <= t3.total_cycles <= beats + 2
     assert t3.erase_span == (0, g3.erase_row_count - 1)
 
 
 def test_s2_flagship_phases():
-    _, _, trace = run("s2", 65536, 8)
+    _, trace = run("s2", 65536, 8)
     assert trace.total_cycles == 4096
     assert trace.erase_span == (0, 2047)
     assert trace.write_span == (2048, 4095)
@@ -54,7 +51,7 @@ def test_s2_flagship_phases():
 
 
 def test_s3_flagship_schedule():
-    _, _, trace = run("s3", 65536, 8)
+    _, trace = run("s3", 65536, 8)
     assert trace.total_cycles == 2049
     assert trace.erase_span == (0, 255)  # 256-cycle erase pass
     assert trace.catch_up_cycles == 37
@@ -62,16 +59,16 @@ def test_s3_flagship_schedule():
 
 
 def test_s3_same_formula_other_width():
-    _, _, trace = run("s3", 8192, 64)
+    _, trace = run("s3", 8192, 64)
     assert trace.total_cycles == 2049
     assert trace.catch_up_cycles == 37
 
 
 def test_monotone_speedup():
     for depth, width in GRID:
-        t1 = run("s1", depth, width)[2].total_cycles
-        t2 = run("s2", depth, width)[2].total_cycles
-        t3 = run("s3", depth, width)[2].total_cycles
+        t1 = run("s1", depth, width)[1].total_cycles
+        t2 = run("s2", depth, width)[1].total_cycles
+        t3 = run("s3", depth, width)[1].total_cycles
         assert t3 <= t2 <= t1
         if depth * width // 256 < 2 * depth:
             assert t2 < t1
@@ -84,7 +81,7 @@ def test_monotone_speedup():
 def test_payload_fidelity(arch, width):
     depth = 1024
     g = geometry_for(arch, depth, width)
-    engine = build_engine(g, record_events=False)
+    engine = build_engine(g)
     ref = ReferenceCam(depth, width)
     rng = np.random.default_rng(width)
     for round_no in range(3):
@@ -121,12 +118,11 @@ def test_duplicates_match_everywhere():
 
 def test_consecutive_updates_same_shape():
     g = geometry_for("s2", 2048, 8)
-    engine = build_engine(g, record_events=True)
+    engine = build_engine(g)
     t1 = engine.update(generate_payload(11, g))
     t2 = engine.update(generate_payload(22, g))
     assert t1.summary() == t2.summary()
-    assert [(e.cycle, e.kind) for e in t1.events] == \
-           [(e.cycle, e.kind) for e in t2.events]
+    assert t1.events is None and t2.events is None
 
 
 # -- event-level invariants ---------------------------------------------------
@@ -151,7 +147,7 @@ def word_phase_cycles(trace, geometry):
 
 @pytest.mark.parametrize("arch", ["s1", "s2", "s3"])
 def test_erase_precedes_write_for_every_word(arch):
-    g, engine, trace = run(arch, 1024, 16, record_events=True, seed=3)
+    g, trace = run(arch, 1024, 16, record_events=True)
     erase, write = word_phase_cycles(trace, g)
     assert (erase >= 0).all() and (write >= 0).all()
     assert (erase < write).all()
@@ -175,7 +171,7 @@ def test_s3_refuses_a_beat_before_its_index(monkeypatch):
 
 
 def test_s3_write_waits_for_beats_and_erase():
-    g, engine, trace = run("s3", 2048, 64, record_events=True)
+    g, trace = run("s3", 2048, 64, record_events=True)
     beat_cycle = {ev.arg: ev.cycle for ev in trace.events if ev.kind == "beat"}
     erase_end = trace.erase_span[1]
     p = g.partitions_p
@@ -188,7 +184,7 @@ def test_s3_write_waits_for_beats_and_erase():
 
 
 def test_s3_at_most_one_write_per_cycle():
-    _, _, trace = run("s3", 4096, 8, record_events=True)
+    _, trace = run("s3", 4096, 8, record_events=True)
     cycles = [ev.cycle for ev in trace.events if ev.kind == "write_row"]
     assert len(cycles) == len(set(cycles))
     assert cycles == sorted(cycles)
@@ -197,7 +193,7 @@ def test_s3_at_most_one_write_per_cycle():
 @pytest.mark.parametrize("arch", ["s2", "s3"])
 def test_post_erase_state_is_zero(arch):
     g = geometry_for(arch, 2048, 16)
-    engine = build_engine(g, record_events=False)
+    engine = build_engine(g)
     engine.update(generate_payload(5, g))  # leave real contents behind
     stages = []
 
@@ -211,40 +207,19 @@ def test_post_erase_state_is_zero(arch):
 
 
 def test_trace_determinism():
-    a = run("s3", 2048, 8, record_events=True, seed=9)[2]
-    b = run("s3", 2048, 8, record_events=True, seed=9)[2]
+    a = run("s3", 2048, 8, record_events=True)[1]
+    b = run("s3", 2048, 8, record_events=True)[1]
     assert a.to_jsonl() == b.to_jsonl()
 
 
-@given(arch=st.sampled_from(ARCHITECTURES),
-       depth=st.sampled_from([1024, 2048, 4096, 8192]),
-       width=st.sampled_from([8, 16, 32, 64]),
-       bus_width=st.sampled_from([64, 256]),
-       partitions=st.sampled_from([1, 2, 4, 8]),
-       calibrated=st.booleans(),
-       eta=st.integers(500, 1000).map(lambda m: m / 1000),
-       overhead=st.integers(0, 400).map(lambda c: c / 100),
-       prefetch=st.booleans())
-@settings(max_examples=40, deadline=None)
-def test_timing_is_the_update_trace(arch, depth, width, bus_width, partitions,
-                                    calibrated, eta, overhead, prefetch):
-    # timing() needs no payload and no engine, yet traces the same update
-    g = geometry_for(arch, depth, width, bus_width, partitions)
-    bus = (calibrated_bus(eta, overhead, bus_width) if calibrated
-           else ideal_bus(bus_width))
-    prefetch = prefetch and arch == "s1"
-    kwargs = {"prefetch_one_beat": True} if prefetch else {}
-    engine = build_engine(g, bus, record_events=True, **kwargs)
-    updated = engine.update(generate_payload(7, g))
-    timed = timing(g, bus, prefetch_one_beat=prefetch, record_events=True)
-    assert timed.summary() == updated.summary()
-    assert timed.to_jsonl() == updated.to_jsonl()
-    assert timing(g, bus, prefetch).events is None
-
-
-def test_timing_rejects_what_the_engines_reject():
-    with pytest.raises(EngineError, match="bus width"):
-        timing(geometry_for("s2", 1024, 8), ideal_bus(bus_width_b=128))
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_update_returns_the_ideal_bus_timing(arch):
+    # the engines model only the memory: their trace is timing(geometry)
+    g = geometry_for(arch, 2048, 16)
+    trace = build_engine(g).update(generate_payload(7, g))
+    assert trace.summary() == timing(g).summary()
+    assert trace.events is None
+    assert timing(g, ideal_bus(), arch == "s1").events is None
 
 
 # -- bus coupling -------------------------------------------------------------
@@ -252,7 +227,7 @@ def test_timing_rejects_what_the_engines_reject():
 def test_s1_calibrated_adds_burst_overhead_only():
     depth, width = 8192, 64
     bus = calibrated_bus(1.0, 1.9)
-    _, _, trace = run("s1", depth, width, bus=bus)
+    _, trace = run("s1", depth, width, bus=bus)
     beats = depth * width // 256
     assert trace.total_cycles == 2 * depth + int(beats * 1.9)
     assert trace.stall_cycles == int(beats * 1.9)
@@ -261,13 +236,13 @@ def test_s1_calibrated_adds_burst_overhead_only():
 def test_s1_period_example():
     # 2*(256/64) = 8 consumption cycles + 1.9 overhead = 9.9 per beat
     bus = calibrated_bus(1.0, 1.9)
-    _, _, trace = run("s1", 8192, 64, bus=bus)
+    _, trace = run("s1", 8192, 64, bus=bus)
     assert trace.total_cycles / (8192 * 64 // 256) == pytest.approx(9.9, abs=0.01)
 
 
 def test_s1_prefetch_hides_steady_state_overhead():
     bus = calibrated_bus(1.0, 1.9)
-    _, _, trace = run("s1", 2048, 64, bus=bus, prefetch_one_beat=True)
+    _, trace = run("s1", 2048, 64, bus=bus, prefetch=True)
     # only the first burst's latency remains; every later one overlaps the
     # 8-cycle consumption of its predecessor
     assert trace.total_cycles == 2 * 2048 + 1
@@ -277,23 +252,23 @@ def test_s1_prefetch_hides_steady_state_overhead():
 @pytest.mark.parametrize("arch", ["s2", "s3"])
 def test_streamed_engines_wait_for_beats(arch):
     g = geometry_for(arch, 2048, 8)
-    bus = calibrated_bus(0.9, 0.0)
-    engine = build_engine(g, bus, record_events=True)
-    payload = generate_payload(4, g)
-    trace = engine.update(payload)
+    trace = timing(g, calibrated_bus(0.9, 0.0))
     assert trace.total_cycles > ideal_total_cycles(g)
     assert trace.stall_cycles == trace.total_cycles - ideal_total_cycles(g)
     # correctness unaffected by stalls
+    engine = build_engine(g)
+    payload = generate_payload(4, g)
+    engine.update(payload)
     ref = ReferenceCam(2048, 8)
     ref.load_full(payload)
     assert equivalence_check(engine, ref, payload[:200]).passed
 
 
 def test_calibrated_fidelity_across_archs():
-    bus = calibrated_bus(0.976, 1.9)
+    # the engines take no bus, so a calibrated run writes the same table
     for arch in ("s1", "s2", "s3"):
         g = geometry_for(arch, 1024, 32)
-        engine = build_engine(g, bus, record_events=False)
+        engine = build_engine(g)
         payload = generate_payload(13, g)
         engine.update(payload)
         ref = ReferenceCam(1024, 32)
@@ -342,8 +317,10 @@ def test_rejects_bad_payloads_and_keys():
 
 def test_rejects_mismatched_bus_and_geometry():
     g = geometry_for("s2", 1024, 8)
-    with pytest.raises(EngineError):
-        build_engine(g, ideal_bus(bus_width_b=128))
+    with pytest.raises(EngineError, match="bus width"):
+        timing(g, ideal_bus(bus_width_b=128))
+    with pytest.raises(TypeError):
+        build_engine(g, ideal_bus())  # an engine takes only a geometry
     with pytest.raises(EngineError):
         S1Engine(g)
 

@@ -42,7 +42,7 @@ def test_per_unit_swap_basics():
 
 def test_per_unit_swap_replay():
     g = geometry_for("s1", 1024, 8)
-    engine = S1Engine(g, record_events=False)
+    engine = S1Engine(g)
     reference = ReferenceCam(1024, 8)
     rng = np.random.default_rng(31337)
     log = np.zeros(1024, dtype=np.uint64)
@@ -76,7 +76,7 @@ def test_per_unit_bank_round_trip():
 def test_central_load_returns_old_row():
     # s2: 2,048 x 256-bit rows; the erase pass reads the previous table
     g = geometry_for("s2", 65536, 8)
-    engine = build_engine(g, record_events=False)
+    engine = build_engine(g)
     assert _rows(engine, g.words_per_bus_beat).shape == (2048, 32)
     first, second = generate_payload(1, g), generate_payload(2, g)
     engine.update(first)
@@ -90,7 +90,7 @@ def test_central_load_returns_old_row():
 
 def test_central_two_pass_replay():
     g = geometry_for("s2", 2048, 8)
-    engine = build_engine(g, record_events=False)
+    engine = build_engine(g)
     first, second = generate_payload(17, g), generate_payload(18, g)
     engine.update(first)
     seen = []
@@ -117,7 +117,7 @@ def test_hpart_fill_order():
         words = np.arange(b * wb, (b + 1) * wb)
         assert set(words // k) == {b // p}
         assert set((words % k) // wb) == {b % p}
-    engine = build_engine(g, record_events=False)
+    engine = build_engine(g)
     payload = generate_payload(4, g)
     engine.update(payload)
     wide = engine.eram.stored_words().reshape(g.erase_row_count, p, wb)
@@ -127,7 +127,7 @@ def test_hpart_fill_order():
 @pytest.mark.parametrize("depth,width", [(65536, 8), (8192, 64), (4096, 16)])
 def test_hpart_regrouping_oracle(depth, width):
     g = geometry_for("s3", depth, width)
-    engine = build_engine(g, record_events=False)
+    engine = build_engine(g)
     payload = generate_payload(depth + width, g)
     engine.update(payload)
     stream = payload.reshape(g.beat_count, g.words_per_bus_beat)
@@ -157,7 +157,7 @@ def test_beat_word_consistency(arch, depth, width):
     # word v occupies field (v mod k) of row (v div k) for the store's own k
     g = geometry_for(arch, depth, width)
     payload = np.arange(depth, dtype=np.uint64) & np.uint64(g.word_mask)
-    engine = build_engine(g, record_events=False)
+    engine = build_engine(g)
     engine.update(payload)
     k = g.words_per_beat_k
     rows = _rows(engine, k)
@@ -171,7 +171,7 @@ def test_read_before_write_call_order():
     # the erase pass clears exactly the previous table, so consecutive
     # updates leave one set bit per column and no stale match
     g = geometry_for("s3", 8192, 8)
-    engine = build_engine(g, record_events=False)
+    engine = build_engine(g)
     first, second = generate_payload(1, g), generate_payload(2, g)
     engine.update(first)
     engine.update(second)

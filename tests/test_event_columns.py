@@ -2,7 +2,7 @@
 
 ``_old_events`` builds the event list by a plain Python sort on (cycle,
 kind rank), and ``_old_jsonl`` writes it with one ``json.dumps`` per event.
-Both see the same schedule arrays as the engine, captured from
+Both see the same schedule arrays as ``engines.timing``, captured from
 ``engines._events``.
 """
 
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from rcam_sim import engines
 from rcam_sim.bus import calibrated_bus, ideal_bus
-from rcam_sim.engines import S1Engine, TraceEvent, build_engine
+from rcam_sim.engines import S1Engine, TraceEvent, timing
 from rcam_sim.geometry import ARCHITECTURES, geometry_for
 from rcam_sim.payload import generate_payload
 
@@ -53,17 +53,18 @@ def _check_equal(got, want):
                     f"(lengths {len(got)} and {len(want)})")
 
 
-def _traced_update(engine, payload):
-    """``engine.update(payload)`` and the old event list of its schedule."""
+def _traced_timing(*args):
+    """``timing(*args, record_events=True)`` and the old event list of its
+    schedule."""
     schedules = []
 
-    def spy(*args):
-        schedules.append(args)
-        return real(*args)
+    def spy(*schedule):
+        schedules.append(schedule)
+        return real(*schedule)
 
     real = engines._events
     with mock.patch.object(engines, "_events", spy):
-        trace = engine.update(payload)
+        trace = timing(*args, record_events=True)
     (schedule,) = schedules
     return trace, _old_events(*schedule)
 
@@ -84,9 +85,7 @@ def test_columns_give_the_old_events_and_bytes(arch, depth, width, bus_width,
     g = geometry_for(arch, depth, width, bus_width, partitions)
     bus = (calibrated_bus(eta, overhead, bus_width) if calibrated
            else ideal_bus(bus_width))
-    kwargs = {"prefetch_one_beat": prefetch} if arch == "s1" else {}
-    engine = build_engine(g, bus, record_events=True, **kwargs)
-    trace, old = _traced_update(engine, generate_payload(5, g))
+    trace, old = _traced_timing(g, bus, prefetch and arch == "s1")
     assert len(trace.events) == len(old)
     _check_equal(list(trace.events), old)
     _check_equal(trace.to_jsonl().split("\n"),
@@ -95,7 +94,7 @@ def test_columns_give_the_old_events_and_bytes(arch, depth, width, bus_width,
 
 def test_update_word_records_its_two_events():
     g = geometry_for("s1", 1024, 16)
-    engine = S1Engine(g, record_events=True)
+    engine = S1Engine(g)
     engine.update(generate_payload(2, g))
     trace = engine.update_word(37, 0xBEEF)
     old = [TraceEvent(0, "erase", 37), TraceEvent(1, "write", 37)]
@@ -107,7 +106,7 @@ def test_update_word_records_its_two_events():
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_without_events_the_trace_is_its_summary_line(arch):
     g = geometry_for(arch, 2048, 8)
-    trace = build_engine(g, record_events=False).update(generate_payload(4, g))
+    trace = timing(g)
     assert trace.events is None
     assert trace.to_jsonl() == _old_jsonl(trace, ())
     assert trace.to_jsonl().count("\n") == 1
@@ -115,7 +114,7 @@ def test_without_events_the_trace_is_its_summary_line(arch):
 
 def test_columns_are_read_only():
     g = geometry_for("s2", 1024, 8)
-    trace = build_engine(g, record_events=True).update(generate_payload(1, g))
+    trace = timing(g, record_events=True)
     for column in (trace.events.cycles, trace.events.ranks, trace.events.args):
         with pytest.raises(ValueError):
             column[0] = 1

@@ -5,7 +5,7 @@ full JSONL trace (summary line plus every beat, erase, write and stall
 event) of small updates on calibrated buses: s1 with and without the
 one-beat prefetch, s2 and s3 at two stream efficiencies, and s3 at P = 1
 (no erase/read overlap), 2 and 8.  Payload values never change the timing,
-so each hash depends on the schedule alone.
+so the traces come from ``engines.timing``, the schedule alone.
 """
 
 import hashlib
@@ -13,9 +13,8 @@ import hashlib
 import pytest
 
 from rcam_sim.bus import calibrated_bus
-from rcam_sim.engines import build_engine
+from rcam_sim.engines import timing
 from rcam_sim.geometry import geometry_for
-from rcam_sim.payload import generate_payload
 
 # (arch, depth, width, bus width, partitions, eta, overhead, prefetch)
 # -> SHA-256.  At a 64-bit bus an s1 beat is consumed in 2 cycles, less than
@@ -57,10 +56,8 @@ GOLDEN = {
 def _trace_sha(arch, depth, width, bus_width, partitions, eta, overhead,
                prefetch):
     geometry = geometry_for(arch, depth, width, bus_width, partitions)
-    kwargs = {"prefetch_one_beat": True} if prefetch else {}
-    engine = build_engine(geometry, calibrated_bus(eta, overhead, bus_width),
-                          record_events=True, **kwargs)
-    trace = engine.update(generate_payload(3, geometry))
+    trace = timing(geometry, calibrated_bus(eta, overhead, bus_width),
+                   prefetch, record_events=True)
     return hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest()
 
 

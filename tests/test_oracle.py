@@ -31,6 +31,16 @@ def test_store_overwrite_and_range():
         ref.update(0, 256)
 
 
+def test_load_full_rejects_words_wider_than_w():
+    # as update does: 300 at W=8 must not load as 300 & 0xFF
+    ref = ReferenceCam(4, 8)
+    with pytest.raises(ValueError, match="wider than 8 bits"):
+        ref.load_full([1, 2, 300, 4])
+    with pytest.raises(ValueError):
+        ref.update(0, 300)
+    assert not ref.occupied.any()
+
+
 def test_duplicates_set_two_bits():
     ref = ReferenceCam(64, 8)
     ref.update(10, 7)
@@ -120,7 +130,7 @@ def test_chunked_compare_finds_the_same_divergence(monkeypatch):
 
 def _dense_verdict(engine, ref, keys):
     """The verdict of comparing dense match vectors cell by cell."""
-    diff = np.argwhere(engine.search_batch(keys) != ref.search_batch(keys))
+    diff = np.argwhere(engine.cam.search_batch(keys) != ref.search_batch(keys))
     if not diff.size:
         return True, None
     return False, (int(keys[diff[0][0]]), int(diff[0][1]))
@@ -151,7 +161,7 @@ def test_reference_update_after_a_compare_is_seen():
 @settings(max_examples=80, deadline=None)
 def test_compare_gives_the_dense_verdict(arch, depth, width, data):
     g = geometry_for(arch, depth, width)
-    engine = build_engine(g, record_events=False)
+    engine = build_engine(g)
     payload = generate_payload(data.draw(st.integers(1, 1000), "seed"), g)
     engine.update(payload)
     ref = ReferenceCam(depth, width)
@@ -219,7 +229,7 @@ def _spy_hits(monkeypatch, ref):
 
 def test_a_table_of_one_word_keeps_chunks_within_the_hit_budget(monkeypatch):
     g = geometry_for("s2", 65536, 8)
-    engine = build_engine(g, record_events=False)
+    engine = build_engine(g)
     payload = np.full(g.depth_n, 0x5A, dtype=np.uint64)
     engine.update(payload)
     ref = ReferenceCam(g.depth_n, 8)
@@ -239,7 +249,7 @@ def test_a_table_of_one_word_keeps_chunks_within_the_hit_budget(monkeypatch):
 def test_hit_budget_counts_each_distinct_key_once(monkeypatch):
     # two words of N/2 copies each; the budget holds one of them
     g = geometry_for("s2", 4096, 8)
-    engine = build_engine(g, record_events=False)
+    engine = build_engine(g)
     payload = np.where(np.arange(g.depth_n) % 2, 0xA5, 0x5A).astype(np.uint64)
     engine.update(payload)
     ref = ReferenceCam(g.depth_n, 8)
