@@ -315,10 +315,13 @@ def test_rejects_bad_payloads_and_keys():
         engine.search(256)
 
 
+def test_timing_rejects_what_the_engines_reject():
+    with pytest.raises(EngineError, match="bus width"):
+        timing(geometry_for("s2", 1024, 8), ideal_bus(bus_width_b=128))
+
+
 def test_rejects_mismatched_bus_and_geometry():
     g = geometry_for("s2", 1024, 8)
-    with pytest.raises(EngineError, match="bus width"):
-        timing(g, ideal_bus(bus_width_b=128))
     with pytest.raises(TypeError):
         build_engine(g, ideal_bus())  # an engine takes only a geometry
     with pytest.raises(EngineError):
