@@ -74,7 +74,8 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--no-verify", action="store_true",
                      help="skip the oracle verification pass")
     run.add_argument("--trace", type=Path, default=None,
-                     help="write the event trace here ({arch} expands)")
+                     help="write the event trace here ({arch} expands; "
+                          "needed with more than one architecture)")
     run.add_argument("--out", type=Path, default=None)
     run.add_argument("--format", choices=["json", "csv"], default="json")
 

@@ -23,8 +23,10 @@ ideal-bus trace, without events.
 
 The sorted (cycle, rank, arg) arrays are the trace's only event record:
 :class:`EventColumns` reads them as a sequence of :class:`TraceEvent`
-without building one, and ``UpdateTrace.to_jsonl`` formats them one kind
-at a time from a ``%``-template per kind.
+without building one, and writes them as JSONL in one pass over a byte
+matrix: each event is a NUL-padded row of its kind's text pieces and the
+decimal digits of its cycle and argument, and dropping the NULs leaves the
+lines ``json.dumps`` would write.
 
 The erase and write passes are vectorized; they are order-equivalent to the
 per-cycle semantics because each CAM column is touched exactly once per
@@ -85,11 +87,31 @@ _EVENT_ARG_NAME = {
     "write_row": "row",
     "stall": None,
 }
-# Each kind's JSONL line, as json.dumps writes {"cycle", "kind"[, arg name]}
-_EVENT_TEMPLATE = {
-    kind: '{"cycle": %d, "kind": "' + kind + '"'
-          + (f', "{name}": %d' if name else "") + "}"
-    for kind, name in _EVENT_ARG_NAME.items()}
+# What every event's JSONL line starts and ends with.
+_JSONL_HEAD = np.frombuffer(b'{"cycle": ', dtype=np.uint8)
+_JSONL_TAIL = np.frombuffer(b"}\n", dtype=np.uint8)
+
+
+def _digits(values: np.ndarray) -> np.ndarray:
+    """The ASCII decimal digits of non-negative ints, one row per value,
+    right-aligned and NUL-padded on the left.  The arithmetic is uint64, so
+    every int64 fits."""
+    q = values.astype(np.uint64)
+    width = len(str(int(q.max(initial=0))))
+    # Built one contiguous column at a time, from the units digit left,
+    # into reused buffers; the digit 10**k shows when the value is at
+    # least 10**k, and the units digit always shows.
+    digits = np.empty((width, q.size), dtype=np.uint8)
+    tens, units = np.empty_like(q), np.empty_like(q)
+    for col in range(width - 1, -1, -1):
+        np.floor_divide(q, 10, out=tens)
+        np.multiply(tens, 10, out=units)
+        np.subtract(q, units, out=units)
+        np.add(units, ord("0"), out=digits[col], casting="unsafe")
+        if col < width - 1:
+            digits[col] *= q > 0
+        q, tens = tens, q
+    return digits.T
 
 
 class EventColumns:
@@ -118,19 +140,29 @@ class EventColumns:
                    np.array(self.kinds, dtype=object)[self.ranks].tolist(),
                    args.tolist())
 
-    def jsonl_lines(self) -> list[str]:
-        """Each event's line as ``json.dumps`` writes it, in event order."""
-        at, text = [], []
-        for rank, kind in enumerate(self.kinds):
-            of_kind = np.flatnonzero(self.ranks == rank)
-            columns = [self.cycles[of_kind].tolist()]
-            if _EVENT_ARG_NAME[kind] is not None:
-                columns.append(self.args[of_kind].tolist())
-            at.append(of_kind)
-            text += map(_EVENT_TEMPLATE[kind].__mod__, zip(*columns))
-        lines = np.empty(len(self), dtype=object)
-        lines[np.concatenate(at)] = text
-        return lines.tolist()
+    def to_jsonl(self) -> str:
+        """Each event's line as ``json.dumps`` writes it, in event order,
+        every line ending in a newline.
+
+        Each event is one row of a byte matrix: the constant head, the
+        cycle's digits, its kind's piece (taken by rank from a per-kind
+        table), the argument's digits and the constant tail, all padded
+        with NULs, which are then dropped.
+        """
+        names = [_EVENT_ARG_NAME[kind] for kind in self.kinds]
+        pieces = [f', "kind": "{kind}"' + (f', "{name}": ' if name else "")
+                  for kind, name in zip(self.kinds, names)]
+        table = np.zeros((len(pieces), max(map(len, pieces))), dtype=np.uint8)
+        for row, piece in zip(table, pieces):
+            row[:len(piece)] = np.frombuffer(piece.encode("ascii"), np.uint8)
+        args = _digits(self.args)
+        args[np.array([name is None for name in names])[self.ranks]] = 0
+        n = len(self)
+        rows = np.concatenate([
+            np.broadcast_to(_JSONL_HEAD, (n, _JSONL_HEAD.size)),
+            _digits(self.cycles), np.take(table, self.ranks, axis=0), args,
+            np.broadcast_to(_JSONL_TAIL, (n, _JSONL_TAIL.size))], axis=1)
+        return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 @dataclass
@@ -169,10 +201,8 @@ class UpdateTrace:
 
     def to_jsonl(self) -> str:
         """Line-delimited records: one summary line, then one line per event."""
-        lines = [json.dumps({"kind": "trace_summary", **self.summary()})]
-        if self.events:
-            lines += self.events.jsonl_lines()
-        return "\n".join(lines) + "\n"
+        head = json.dumps({"kind": "trace_summary", **self.summary()}) + "\n"
+        return head + self.events.to_jsonl() if self.events else head
 
 
 def _as_payload(geometry: CamGeometry, payload) -> np.ndarray:

@@ -77,6 +77,11 @@ class ExperimentConfig:
                 raise ConfigError(f"architecture {arch!r} is selected twice")
         if not self.architectures:
             raise ConfigError("at least one architecture is required")
+        if (self.trace_path is not None and "{arch}" not in self.trace_path
+                and len(self.architectures) > 1):
+            raise ConfigError(
+                "trace_path must contain {arch} when more than one "
+                "architecture is selected, or each trace overwrites the last")
         if self.bus_mode not in ("ideal", "calibrated"):
             raise ConfigError(f"unknown bus mode {self.bus_mode!r}")
         if self.key_count < 0:
@@ -316,17 +321,20 @@ def run_experiment(config: ExperimentConfig,
 
     Every trace comes from the cycle schedule (``timing``).  An engine is
     built and updated only to verify the table against the reference; any
-    oracle divergence aborts the run with diagnostics.  The payload is
-    resolved even when verification is off, so a bad payload file fails.
+    oracle divergence aborts the run with diagnostics.  A payload file is
+    read even when verification is off, so a bad one fails; a generated
+    payload is made only for verification.
     """
     bus = config.bus()
+    verify = config.verify_oracle and config.key_count > 0
     results = []
     for arch in config.architectures:
         geometry = config.geometries[arch]
-        payload = _resolve_payload(config, geometry)
+        if verify or config.payload_path is not None:
+            payload = _resolve_payload(config, geometry)
         trace = timing(geometry, bus, record_events=config.record_events)
         oracle_info = {"keys_checked": 0, "passed": None}
-        if config.verify_oracle and config.key_count:
+        if verify:
             engine = build_engine(geometry)
             engine.update(payload)
             reference = ReferenceCam(geometry.depth_n, geometry.word_width_w)

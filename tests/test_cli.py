@@ -276,3 +276,15 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+def test_run_trace_path_without_arch_takes_one_architecture(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    flags = ["run", "--depth", "1024", "--width", "8", "--no-verify",
+             "--trace", str(trace)]
+    assert main(flags) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not trace.exists()
+    assert main(flags + ["--arch", "s2"]) == 0
+    summary = json.loads(trace.read_text().splitlines()[0])
+    assert summary["architecture"] == "s2"

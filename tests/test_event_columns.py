@@ -9,13 +9,17 @@ Both see the same schedule arrays as ``engines.timing``, captured from
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcam_sim import engines
 from rcam_sim.bus import calibrated_bus, ideal_bus
-from rcam_sim.engines import S1Engine, TraceEvent, timing
+from rcam_sim.calibration import (DEFAULT_CALIBRATED_ETA,
+                                  DEFAULT_CALIBRATED_OVERHEAD)
+from rcam_sim.engines import (EventColumns, S1Engine, TraceEvent, UpdateTrace,
+                              timing)
 from rcam_sim.geometry import ARCHITECTURES, geometry_for
 from rcam_sim.payload import generate_payload
 
@@ -118,3 +122,59 @@ def test_columns_are_read_only():
     for column in (trace.events.cycles, trace.events.ranks, trace.events.args):
         with pytest.raises(ValueError):
             column[0] = 1
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+@pytest.mark.parametrize("calibrated", [False, True],
+                         ids=["ideal", "calibrated"])
+def test_flagship_traces_give_the_old_bytes(arch, calibrated):
+    g = geometry_for(arch, 65536, 8)
+    bus = (calibrated_bus(DEFAULT_CALIBRATED_ETA, DEFAULT_CALIBRATED_OVERHEAD)
+           if calibrated else ideal_bus())
+    trace, old = _traced_timing(g, bus)
+    _check_equal(trace.to_jsonl().split("\n"),
+                 _old_jsonl(trace, old).split("\n"))
+
+
+# Both sides of every decimal-width step up to int64's largest value, and
+# both sides of 2**32.
+_BOUNDARIES = sorted({0, *(10 ** k + d for k in range(1, 19) for d in (-1, 0)),
+                      2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 63 - 1})
+
+
+def _hand_trace(arch, events):
+    order = engines._EVENT_ORDER[arch]
+    cycles, ranks, args = np.array(events, dtype=np.int64).reshape(-1, 3).T
+    return UpdateTrace(
+        architecture=arch, depth_n=1024, word_width_w=8, total_cycles=1,
+        bus_read_cycles=0, stall_cycles=0, erase_span=(0, 0),
+        write_span=(0, 0), events=EventColumns(order, cycles, ranks, args))
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+@pytest.mark.parametrize("left_out", [None, 0, 2], ids=["all", "no0", "no2"])
+def test_every_digit_width_gives_the_old_bytes(arch, left_out):
+    """Cycles and arguments at each decimal boundary, paired both ways,
+    with stalls mixed in and, but for "all", one kind left out."""
+    order = engines._EVENT_ORDER[arch]
+    ranks = [r for r in range(len(order)) if r != left_out]
+    n = len(_BOUNDARIES)
+    events = [(cycle, ranks[(i + j) % len(ranks)], arg)
+              for i, cycle in enumerate(_BOUNDARIES)
+              for j, arg in enumerate((_BOUNDARIES[i], _BOUNDARIES[-1 - i],
+                                       _BOUNDARIES[(i + n // 2) % n], 0))]
+    trace = _hand_trace(arch, events)
+    old = [TraceEvent(c, order[r], None if order[r] == "stall" else a)
+           for c, r, a in events]
+    assert "stall" in {ev.kind for ev in old}
+    _check_equal(trace.to_jsonl().split("\n"),
+                 _old_jsonl(trace, old).split("\n"))
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_no_events_write_only_the_summary_line(arch):
+    trace = _hand_trace(arch, [])
+    assert len(trace.events) == 0
+    assert trace.events.to_jsonl() == ""
+    assert trace.to_jsonl() == _old_jsonl(trace, ())
+    assert trace.to_jsonl().count("\n") == 1

@@ -190,6 +190,17 @@ def test_unverified_runs_build_no_engine(monkeypatch, off):
     assert all(r.oracle["passed"] is None for r in report.results)
 
 
+def test_unverified_runs_generate_no_payload(monkeypatch):
+    from rcam_sim import experiment as exp
+
+    def no_payload(seed, geometry):
+        raise AssertionError("an unverified run generated a payload")
+
+    monkeypatch.setattr(exp, "generate_payload", no_payload)
+    report = run_experiment(ExperimentConfig(**SMALL, verify_oracle=False))
+    assert [r.total_cycles for r in report.results] == [2048, 64, 64]
+
+
 def test_calibrated_mode_uses_shipped_defaults():
     config = ExperimentConfig(**SMALL, bus_mode="calibrated")
     bus = config.bus()
