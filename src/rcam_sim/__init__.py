@@ -5,7 +5,7 @@ from .bus import (BusModel, IDEAL_BUS, calibrated_bus, demand_schedule,
                   ideal_bus, stream_schedule, update_io_efficiency,
                   update_throughput_gbps)
 from .calibration import CalibrationResult, calibrate
-from .engines import S1Engine, S2Engine, S3Engine, UpdateTrace, build_engine
+from .engines import RcamEngine, UpdateTrace
 from .erase_store import EraseStore
 from .experiment import (EfficiencyReport, ExperimentConfig, emit_report,
                          run_experiment, run_sweep)
@@ -22,7 +22,7 @@ __all__ = [
     "stream_schedule", "demand_schedule",
     "update_io_efficiency", "update_throughput_gbps",
     "CalibrationResult", "calibrate",
-    "S1Engine", "S2Engine", "S3Engine", "UpdateTrace", "build_engine",
+    "RcamEngine", "UpdateTrace",
     "EraseStore",
     "EfficiencyReport", "ExperimentConfig", "emit_report",
     "run_experiment", "run_sweep",

@@ -3,7 +3,7 @@
 The measured numbers fold every real-system loss (bank interleaving limits,
 precharge, row activation, refresh) into three end-to-end efficiencies, so
 reproducing them is a calibration, not a prediction: a grid search runs the
-update engines' cycle schedules (:func:`rcam_sim.engines.timing`) at the
+architectures' cycle schedules (:func:`rcam_sim.engines.timing`) at the
 anchor configurations and picks the (stream efficiency, burst overhead)
 pair minimizing the maximum relative error.  Payload values never change
 the timing, so the search builds no engine and writes no table.  Residuals

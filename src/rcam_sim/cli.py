@@ -11,7 +11,7 @@ import numpy as np
 
 from ._version import __version__
 from .calibration import DEFAULT_TARGETS, CalibrationResult, calibrate
-from .engines import build_engine
+from .engines import RcamEngine
 from .experiment import (ConfigError, ExperimentConfig, OracleDivergenceError,
                          emit_report, read_config, run_experiment, run_sweep,
                          search_keys)
@@ -197,7 +197,7 @@ def _cmd_verify(args) -> int:
         depth = depths[int(r[1]) % len(depths)]
         width = widths[int(r[2]) % len(widths)]
         geometry = geometry_for(arch, depth, width)
-        engine = build_engine(geometry)
+        engine = RcamEngine(geometry)
         reference = ReferenceCam(depth, width)
         verdict = None
         for round_no in range(2):

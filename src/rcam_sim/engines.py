@@ -1,4 +1,4 @@
-"""Cycle-accurate update engines for the three CAM architectures.
+"""Cycle schedules of the three CAM architectures, and their one engine.
 
 The three architectures differ only in *when* things happen, and payload
 values never change that.  ``_schedule`` holds every cycle schedule: from
@@ -14,12 +14,12 @@ the only code that turns a bus into a trace:
 * events merge by a stable sort on (cycle, kind rank), the rank being a
   per-architecture intra-cycle order (``_EVENT_ORDER``).
 
-The engines model only the memory and take only a geometry.  Each
-engine's ``update`` (``_apply_update``) first takes ``timing(geometry)``, so
-that a schedule it refuses leaves the CAM as it was.  It then checks the
-payload, runs the erase pass over the old table, the erase-store swap, the
-optional ``after_erase`` probe and the write pass, and returns that
-ideal-bus trace, without events.
+One :class:`RcamEngine` models the memory of every architecture and takes
+only a geometry.  Its ``update`` first takes ``timing`` on the ideal bus of
+the geometry's width, so that a schedule it refuses leaves the CAM as it
+was.  It then checks the payload, runs the erase pass over the old table,
+the erase-store swap, the optional ``after_erase`` probe (refused for s1)
+and the write pass, and returns that ideal-bus trace, without events.
 
 The sorted (cycle, rank, arg) arrays are the trace's only event record:
 :class:`EventColumns` reads them as a sequence of :class:`TraceEvent`
@@ -63,7 +63,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bus import IDEAL_BUS, BusModel, demand_schedule, stream_schedule
+from .bus import (IDEAL_BUS, BusModel, demand_schedule, ideal_bus,
+                  stream_schedule)
 from .erase_store import EraseStore
 from .geometry import CamGeometry
 from .rcu import RcamArray
@@ -215,51 +216,49 @@ def _as_payload(geometry: CamGeometry, payload) -> np.ndarray:
     return arr.copy()
 
 
-class _EngineBase:
-    architecture = ""
+class RcamEngine:
+    """The memory of one CAM: its RCU grid and its erase store.
+
+    The three architectures hold the same words in the same RCUs and differ
+    only in when the erase and write passes happen, which ``timing`` owns,
+    so the architecture reaches the engine only through its geometry.
+    """
 
     def __init__(self, geometry: CamGeometry):
-        if geometry.architecture != self.architecture:
-            raise EngineError(
-                f"geometry is for {geometry.architecture!r}, engine is "
-                f"{self.architecture!r}")
         self.geometry = geometry
         self.cam = RcamArray(geometry)
         self.eram = EraseStore(geometry)
 
     # Searches are pure reads.  They must not run while an update is in
     # flight except from a probe callback.
-    def search(self, key: int) -> np.ndarray:
-        self._check_key(key)
-        return self.cam.search(key)
-
     def match_masks(self, keys) -> np.ndarray:
         return self.cam.match_masks(keys)
 
-    def _check_key(self, key: int) -> None:
-        if not 0 <= key <= self.geometry.word_mask:
-            raise EngineError(
-                f"key {key} does not fit {self.geometry.word_width_w} bits")
-
     def update(self, payload, probe: Callable | None = None) -> UpdateTrace:
-        raise NotImplementedError
+        """Run one full-table update; return its ideal-bus trace.
 
-
-class S1Engine(_EngineBase):
-    """Traditional design: per-unit erase RAMs, two cycles per word."""
-
-    architecture = "s1"
-
-    def update(self, payload, probe: Callable | None = None) -> UpdateTrace:
-        # Erase and write interleave per word, so no all-erased state exists
+        The schedule is taken first, so that one it refuses leaves the CAM
+        as it was.  ``probe("after_erase", engine)`` runs between the passes.
+        """
+        g = self.geometry
+        # s1 erases and writes word by word, so no all-erased state exists
         # for a probe to observe.
-        if probe is not None:
+        if probe is not None and g.architecture == "s1":
             raise EngineError("s1 has no all-erased state to probe")
-        return _apply_update(self, payload, None)
+        trace = timing(g, ideal_bus(g.bus_width_b))
+        payload = _as_payload(g, payload)
+        self.cam.apply_full_table(self.eram.stored_words(), 0)  # erase pass
+        self.eram.store_words(payload)
+        if probe is not None:
+            probe("after_erase", self)
+        self.cam.apply_full_table(payload, 1)  # write pass
+        return trace
 
     def update_word(self, index: int, value: int) -> UpdateTrace:
-        """Incremental single-word update: one erase/write pair (2 cycles)."""
+        """s1 incremental single-word update: one erase/write pair (2 cycles)."""
         g = self.geometry
+        if g.architecture != "s1":
+            raise EngineError(f"{g.architecture} has no single-word update")
         if not 0 <= index < g.depth_n:
             raise EngineError(f"word index {index} out of range")
         if not 0 <= value <= g.word_mask:
@@ -278,37 +277,9 @@ class S1Engine(_EngineBase):
             erase_span=(0, 0), write_span=(1, 1), events=events)
 
 
-class S2Engine(_EngineBase):
-    """Centralized erase RAM with bit-sliced parallel writes."""
-
-    architecture = "s2"
-
-    def update(self, payload, probe: Callable | None = None) -> UpdateTrace:
-        return _apply_update(self, payload, probe)
-
-
-class S3Engine(_EngineBase):
-    """Adds horizontal erase-RAM partitioning: erase overlaps the bus read."""
-
-    architecture = "s3"
-
-    def update(self, payload, probe: Callable | None = None) -> UpdateTrace:
-        return _apply_update(self, payload, probe)
-
-
-def _apply_update(engine: _EngineBase, payload,
-                  probe: Callable | None) -> UpdateTrace:
-    """Run one full-table update on ``engine``; return its ideal-bus trace.
-    The schedule is taken first, so that one it refuses leaves the engine as
-    it was."""
-    trace = timing(engine.geometry)
-    payload = _as_payload(engine.geometry, payload)
-    engine.cam.apply_full_table(engine.eram.stored_words(), 0)  # erase pass
-    engine.eram.store_words(payload)
-    if probe is not None:
-        probe("after_erase", engine)
-    engine.cam.apply_full_table(payload, 1)  # write pass
-    return trace
+# The benchmark's tracer (perfbench/tracing.py) wraps ``update`` under these
+# names, looked up in the class ``__dict__``: all three are this one class.
+S1Engine = S2Engine = S3Engine = RcamEngine
 
 
 def ideal_total_cycles(geometry: CamGeometry) -> int:
@@ -433,10 +404,3 @@ def _events(order: tuple[str, ...], total: int, beats: np.ndarray,
     args = np.concatenate([np.arange(s.size) for s in streams])
     idx = np.argsort(cycles * len(order) + ranks, kind="stable")
     return EventColumns(order, cycles[idx], ranks[idx], args[idx])
-
-
-_ENGINES = {"s1": S1Engine, "s2": S2Engine, "s3": S3Engine}
-
-
-def build_engine(geometry: CamGeometry) -> _EngineBase:
-    return _ENGINES[geometry.architecture](geometry)

@@ -21,7 +21,7 @@ from ._version import __version__
 from .bus import BusModel, update_io_efficiency, update_throughput_gbps
 from .calibration import (DEFAULT_CALIBRATED_ETA, DEFAULT_CALIBRATED_OVERHEAD,
                           CalibrationResult)
-from .engines import build_engine, timing
+from .engines import RcamEngine, timing
 from .geometry import (ARCHITECTURES, CamGeometry, check_partitions,
                        geometry_for)
 from .oracle import ReferenceCam, equivalence_check
@@ -77,6 +77,9 @@ class ExperimentConfig:
                 raise ConfigError(f"architecture {arch!r} is selected twice")
         if not self.architectures:
             raise ConfigError("at least one architecture is required")
+        if self.trace_path == "":
+            raise ConfigError("trace_path must not be empty; leave it unset "
+                              "for no trace")
         if (self.trace_path is not None and "{arch}" not in self.trace_path
                 and len(self.architectures) > 1):
             raise ConfigError(
@@ -335,7 +338,7 @@ def run_experiment(config: ExperimentConfig,
         trace = timing(geometry, bus, record_events=config.record_events)
         oracle_info = {"keys_checked": 0, "passed": None}
         if verify:
-            engine = build_engine(geometry)
+            engine = RcamEngine(geometry)
             engine.update(payload)
             reference = ReferenceCam(geometry.depth_n, geometry.word_width_w)
             reference.load_full(payload)
@@ -366,8 +369,11 @@ def run_sweep(base: ExperimentConfig,
 
     Every run is ``base`` with the depth and width of one sweep point.  The
     points share one table size, so s3 runs the same partition count at
-    each, and the report prints that count.
+    each, and the report prints that count.  ``base`` takes no trace path,
+    since every width would write, and overwrite, the same files.
     """
+    if base.trace_path is not None:
+        raise ConfigError("a sweep writes no traces; unset trace_path")
     results = []
     for width in SWEEP_WIDTHS:
         config = replace(base, depth_n=SWEEP_TABLE_BITS // width,

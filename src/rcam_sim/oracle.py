@@ -20,7 +20,7 @@ _HIT_BUDGET = 1 << 19
 class ReferenceCam:
     """Plain word table.
 
-    ``search`` and ``search_batch`` scan it, O(N) per key by design.
+    ``search_batch`` scans it, O(N) per key by design.
     ``hits`` looks keys up in a stable sort of the occupied words, built on
     first use after ``update`` or ``load_full``.
     """
@@ -59,11 +59,6 @@ class ReferenceCam:
         self.words[:] = arr
         self.occupied[:] = True
         self._sorted = None
-
-    def search(self, key: int) -> np.ndarray:
-        if not 0 <= key <= self.word_mask:
-            raise ValueError(f"key does not fit {self.word_width_w} bits")
-        return (self.words == self.words.dtype.type(key)) & self.occupied
 
     def search_batch(self, keys) -> np.ndarray:
         keys = self._keys(keys)

@@ -9,7 +9,7 @@ port sets or clears a single cell; searching reads a whole row and yields a
 RCU row-packed in one numpy array (row value -> 32-bit slot mask).  Erase and
 write are the same port operation with a different bit, so one private
 primitive, ``RcamArray._apply``, does every cell write: for a whole table
-(:meth:`RcamArray.apply_full_table`, the engines' erase and write passes) and
+(:meth:`RcamArray.apply_full_table`, the engine's erase and write passes) and
 for one word (``apply_word``).  A search ANDs the slices' packed slot masks
 (:meth:`RcamArray.match_masks`); the oracle compares in that packed layout,
 and only ``search_batch`` and ``slice_match`` unpack to word order.
@@ -22,8 +22,7 @@ import numpy as np
 from .geometry import (RCU_ROWS, RCU_SLOTS, SUB_WORD_BITS, CamGeometry,
                        map_word_index)
 
-_SLOT_SHIFTS = np.arange(RCU_SLOTS, dtype=np.uint32)
-_SLOT_MASKS = np.uint32(1) << _SLOT_SHIFTS
+_SLOT_MASKS = np.uint32(1) << np.arange(RCU_SLOTS, dtype=np.uint32)
 
 
 class RcamArray:
@@ -125,14 +124,3 @@ class RcamArray:
         grid = bits.reshape(g.rcb_count, k, nk, RCU_SLOTS)
         out = grid.transpose(2, 0, 3, 1).reshape(nk, g.depth_n)
         return np.ascontiguousarray(out).view(bool)
-
-    # -- diagnostics -------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.cells.any()
-
-    def column_occupancy(self) -> np.ndarray:
-        """(rcu_count, 32) set-bit counts; managed operation keeps all <= 1."""
-        bits = (self.cells[:, :, None] >> _SLOT_SHIFTS[None, None, :]) & 1
-        return bits.sum(axis=1, dtype=np.int64)
-

@@ -10,7 +10,7 @@ import pytest
 
 from rcam_sim.bus import ideal_bus, update_io_efficiency
 from rcam_sim.calibration import calibrate
-from rcam_sim.engines import build_engine, timing
+from rcam_sim.engines import RcamEngine, timing
 from rcam_sim.experiment import ExperimentConfig, run_experiment
 from rcam_sim.geometry import geometry_for, map_word_index, word_index_of
 from rcam_sim.oracle import ReferenceCam, equivalence_check
@@ -38,7 +38,7 @@ def test_criterion_1_oracle_equivalence():
         for depth in (1024, 4096):
             for width in (8, 16, 32, 64):
                 geometry = geometry_for(arch, depth, width)
-                engine = build_engine(geometry)
+                engine = RcamEngine(geometry)
                 reference = ReferenceCam(depth, width)
                 salt = np.uint64((depth * width) ^ len(arch))
                 for pass_no in range(100):
@@ -157,13 +157,13 @@ def test_criterion_7_invariant_suite():
     # post-erase zero state and erase-before-write ordering
     for arch in ("s2", "s3"):
         geometry = geometry_for(arch, 2048, 16)
-        engine = build_engine(geometry)
+        engine = RcamEngine(geometry)
         engine.update(generate_payload(1, geometry))
         seen = []
 
         def probe(stage, eng):
             seen.append(stage)
-            assert eng.cam.is_zero()
+            assert not eng.cam.cells.any()
 
         engine.update(generate_payload(2, geometry), probe=probe)
         assert seen == ["after_erase"]
@@ -179,7 +179,7 @@ def test_criterion_7_invariant_suite():
 
     # AND-law for W > 8 against the reference scan
     geometry = geometry_for("s2", 1024, 32)
-    engine = build_engine(geometry)
+    engine = RcamEngine(geometry)
     payload = generate_payload(3, geometry)
     engine.update(payload)
     for key in map(int, payload[:16]):
@@ -191,7 +191,7 @@ def test_criterion_7_invariant_suite():
                 per_slice,
                 ((payload >> np.uint64(8 * c)) & np.uint64(0xFF)) == sub)
             acc &= per_slice
-        assert np.array_equal(engine.search(key), acc)
+        assert np.array_equal(engine.cam.search(key), acc)
 
     # determinism of traces and reports
     def one_trace():

@@ -182,6 +182,30 @@ def test_sweep_subcommand(tmp_path):
     assert len(lines) == 1 + 2 * 4
 
 
+def _cycles_lines(capsys, argv):
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any("cycles=" in line for line in lines)
+    return lines
+
+
+@pytest.mark.parametrize("bus_width, depth", [(64, 1024), (128, 1024),
+                                              (512, 4096)])
+def test_verified_run_at_any_bus_width(capsys, bus_width, depth):
+    # a verified update must take its schedule on the geometry's bus width
+    argv = ["run", "--arch", "all", "--depth", str(depth), "--width", "8",
+            "--bus-width", str(bus_width), "--keys", "64"]
+    assert (_cycles_lines(capsys, argv)
+            == _cycles_lines(capsys, argv + ["--no-verify"]))
+
+
+@pytest.mark.parametrize("bus_width", [64, 128, 512])
+def test_verified_sweep_at_any_bus_width(capsys, bus_width):
+    argv = ["sweep", "--bus-width", str(bus_width)]
+    assert (_cycles_lines(capsys, argv + ["--keys", "4"])
+            == _cycles_lines(capsys, argv + ["--keys", "0"]))
+
+
 def test_verify_subcommand(capsys):
     rc = main(["verify", "--iterations", "4", "--seed", "11", "--keys", "64"])
     assert rc == 0

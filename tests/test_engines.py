@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from rcam_sim.bus import calibrated_bus, ideal_bus
-from rcam_sim.engines import (EngineError, S1Engine, build_engine,
-                              ideal_total_cycles, timing)
+from rcam_sim.engines import (EngineError, RcamEngine, ideal_total_cycles,
+                              timing)
 from rcam_sim.geometry import ARCHITECTURES, geometry_for
 from rcam_sim.oracle import ReferenceCam, equivalence_check
 from rcam_sim.payload import generate_payload
+
+from cam_helpers import column_occupancy
 
 GRID = [(1024, 8), (1024, 64), (2048, 16), (4096, 8), (4096, 32), (8192, 64)]
 
@@ -81,7 +83,7 @@ def test_monotone_speedup():
 def test_payload_fidelity(arch, width):
     depth = 1024
     g = geometry_for(arch, depth, width)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     ref = ReferenceCam(depth, width)
     rng = np.random.default_rng(width)
     for round_no in range(3):
@@ -99,26 +101,26 @@ def test_payload_fidelity(arch, width):
 
 def test_search_before_any_write_is_empty():
     g = geometry_for("s2", 1024, 8)
-    engine = build_engine(g)
-    assert not engine.search(0).any()
-    assert not engine.search(123).any()
+    engine = RcamEngine(g)
+    assert not engine.cam.search(0).any()
+    assert not engine.cam.search(123).any()
 
 
 def test_duplicates_match_everywhere():
     g = geometry_for("s2", 1024, 8)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     payload = np.arange(1024, dtype=np.uint64) % 256
     payload[10] = payload[20] = 77
     payload[77] = 0  # remove the ramp's own 77
     engine.update(payload)
-    hits = np.flatnonzero(engine.search(77))
+    hits = np.flatnonzero(engine.cam.search(77))
     assert {10, 20} <= set(hits.tolist())
     assert set(hits.tolist()) == set(np.flatnonzero(payload == 77).tolist())
 
 
 def test_consecutive_updates_same_shape():
     g = geometry_for("s2", 2048, 8)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     t1 = engine.update(generate_payload(11, g))
     t2 = engine.update(generate_payload(22, g))
     assert t1.summary() == t2.summary()
@@ -159,7 +161,7 @@ def test_s3_refuses_a_beat_before_its_index(monkeypatch):
     # the erase pass snapshot is cycle-exact only if no beat lands early;
     # the check must survive python -O, so it is no assert
     g = geometry_for("s3", 2048, 8)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     monkeypatch.setattr("rcam_sim.engines.stream_schedule",
                         lambda bus, count: np.zeros(count, dtype=np.int64))
     with pytest.raises(EngineError, match="before the cycle of its index"):
@@ -167,7 +169,7 @@ def test_s3_refuses_a_beat_before_its_index(monkeypatch):
     with pytest.raises(EngineError, match="before the cycle of its index"):
         timing(g)
     # the schedule is refused before either pass touches the CAM
-    assert engine.cam.is_zero()
+    assert not engine.cam.cells.any()
 
 
 def test_s3_write_waits_for_beats_and_erase():
@@ -193,14 +195,14 @@ def test_s3_at_most_one_write_per_cycle():
 @pytest.mark.parametrize("arch", ["s2", "s3"])
 def test_post_erase_state_is_zero(arch):
     g = geometry_for(arch, 2048, 16)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     engine.update(generate_payload(5, g))  # leave real contents behind
     stages = []
 
     def probe(stage, eng):
         stages.append(stage)
-        assert eng.cam.is_zero()
-        assert not eng.search(42).any()  # probe-mode search allowed
+        assert not eng.cam.cells.any()
+        assert not eng.cam.search(42).any()  # probe-mode search allowed
 
     engine.update(generate_payload(6, g), probe=probe)
     assert stages == ["after_erase"]
@@ -216,10 +218,25 @@ def test_trace_determinism():
 def test_update_returns_the_ideal_bus_timing(arch):
     # the engines model only the memory: their trace is timing(geometry)
     g = geometry_for(arch, 2048, 16)
-    trace = build_engine(g).update(generate_payload(7, g))
+    trace = RcamEngine(g).update(generate_payload(7, g))
     assert trace.summary() == timing(g).summary()
     assert trace.events is None
     assert timing(g, ideal_bus(), arch == "s1").events is None
+
+
+def test_update_times_the_geometry_bus_width():
+    g = geometry_for("s2", 1024, 8, bus_width_b=64)
+    trace = RcamEngine(g).update(generate_payload(7, g))
+    assert trace.summary() == timing(g, ideal_bus(64)).summary()
+    assert trace.bus_read_cycles == 1024 * 8 // 64
+
+
+@pytest.mark.parametrize("arch", ["s2", "s3"])
+def test_only_s1_updates_a_single_word(arch):
+    engine = RcamEngine(geometry_for(arch, 1024, 8))
+    with pytest.raises(EngineError, match="no single-word update"):
+        engine.update_word(0, 1)
+    assert not engine.cam.cells.any()
 
 
 # -- bus coupling -------------------------------------------------------------
@@ -256,7 +273,7 @@ def test_streamed_engines_wait_for_beats(arch):
     assert trace.total_cycles > ideal_total_cycles(g)
     assert trace.stall_cycles == trace.total_cycles - ideal_total_cycles(g)
     # correctness unaffected by stalls
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     payload = generate_payload(4, g)
     engine.update(payload)
     ref = ReferenceCam(2048, 8)
@@ -268,7 +285,7 @@ def test_calibrated_fidelity_across_archs():
     # the engines take no bus, so a calibrated run writes the same table
     for arch in ("s1", "s2", "s3"):
         g = geometry_for(arch, 1024, 32)
-        engine = build_engine(g)
+        engine = RcamEngine(g)
         payload = generate_payload(13, g)
         engine.update(payload)
         ref = ReferenceCam(1024, 32)
@@ -280,7 +297,7 @@ def test_calibrated_fidelity_across_archs():
 
 def test_s1_incremental_word_update():
     g = geometry_for("s1", 1024, 16)
-    engine = S1Engine(g)
+    engine = RcamEngine(g)
     payload = generate_payload(2, g)
     engine.update(payload)
     trace = engine.update_word(100, 0xBEEF)
@@ -299,20 +316,20 @@ def test_s1_incremental_word_update():
 def test_s1_rejects_a_probe():
     # s1 erases and writes word by word: no all-erased state exists
     g = geometry_for("s1", 1024, 8)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     with pytest.raises(EngineError, match="all-erased"):
         engine.update(generate_payload(1, g), probe=lambda stage, eng: None)
 
 
 def test_rejects_bad_payloads_and_keys():
     g = geometry_for("s2", 1024, 8)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     with pytest.raises(EngineError):
         engine.update(np.zeros(100, dtype=np.uint64))
     with pytest.raises(EngineError):
         engine.update(np.full(1024, 256, dtype=np.uint64))
-    with pytest.raises(EngineError):
-        engine.search(256)
+    with pytest.raises(ValueError, match="wider than 8 bits"):
+        engine.cam.search(256)
 
 
 def test_timing_rejects_what_the_engines_reject():
@@ -323,21 +340,19 @@ def test_timing_rejects_what_the_engines_reject():
 def test_rejects_mismatched_bus_and_geometry():
     g = geometry_for("s2", 1024, 8)
     with pytest.raises(TypeError):
-        build_engine(g, ideal_bus())  # an engine takes only a geometry
-    with pytest.raises(EngineError):
-        S1Engine(g)
+        RcamEngine(g, ideal_bus())  # an engine takes only a geometry
 
 
 def test_skipped_erase_is_detectable():
     # deliberately violate the erase-first protocol: the stale bit yields a
     # false positive the oracle comparison pinpoints
     g = geometry_for("s2", 1024, 8)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     payload = generate_payload(8, g)
     engine.update(payload)
     victim, stale_key = 321, int(payload[321])
     engine.cam.apply_word(victim, 0x3C, 1)  # write without erasing
-    occupancy = engine.cam.column_occupancy()
+    occupancy = column_occupancy(engine.cam)
     assert occupancy.max() == 2
     ref = ReferenceCam(1024, 8)
     ref.load_full(payload)

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcam_sim.engines import EngineError, S1Engine, build_engine
+from rcam_sim.engines import EngineError, RcamEngine
 from rcam_sim.erase_store import EraseStore
 from rcam_sim.geometry import geometry_for, map_word_index
 from rcam_sim.oracle import ReferenceCam, equivalence_check
 from rcam_sim.payload import generate_payload
+
+from cam_helpers import column_occupancy
 
 
 def _rows(engine, row_words):
@@ -27,13 +29,13 @@ def _rows(engine, row_words):
 def test_per_unit_swap_basics():
     # s1 incremental update: read the old word, erase it, store the new one
     g = geometry_for("s1", 1024, 8)
-    engine = S1Engine(g)
+    engine = RcamEngine(g)
     assert not engine.eram.stored_words().any()  # fresh tables read as zero
     engine.update_word(3, 0xAB)
     engine.update_word(3, 0xCD)
     assert engine.eram.stored_words()[3] == 0xCD
-    assert not engine.search(0xAB)[3]  # the old word was erased
-    assert engine.search(0xCD)[3]
+    assert not engine.cam.search(0xAB)[3]  # the old word was erased
+    assert engine.cam.search(0xCD)[3]
     with pytest.raises(EngineError):
         engine.update_word(1024, 0)
     with pytest.raises(EngineError):
@@ -42,7 +44,7 @@ def test_per_unit_swap_basics():
 
 def test_per_unit_swap_replay():
     g = geometry_for("s1", 1024, 8)
-    engine = S1Engine(g)
+    engine = RcamEngine(g)
     reference = ReferenceCam(1024, 8)
     rng = np.random.default_rng(31337)
     log = np.zeros(1024, dtype=np.uint64)
@@ -64,7 +66,7 @@ def test_per_unit_bank_round_trip():
     bank.stored_words()[0] ^= np.uint64(1)  # reads are copies
     assert np.array_equal(bank.stored_words(), words)
     # per-unit table of word v: RCU v//32, slot v%32, one byte per slice
-    engine = S1Engine(g)
+    engine = RcamEngine(g)
     engine.update(words)
     v = 517
     for c in range(g.slices):
@@ -76,7 +78,7 @@ def test_per_unit_bank_round_trip():
 def test_central_load_returns_old_row():
     # s2: 2,048 x 256-bit rows; the erase pass reads the previous table
     g = geometry_for("s2", 65536, 8)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     assert _rows(engine, g.words_per_bus_beat).shape == (2048, 32)
     first, second = generate_payload(1, g), generate_payload(2, g)
     engine.update(first)
@@ -90,7 +92,7 @@ def test_central_load_returns_old_row():
 
 def test_central_two_pass_replay():
     g = geometry_for("s2", 2048, 8)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     first, second = generate_payload(17, g), generate_payload(18, g)
     engine.update(first)
     seen = []
@@ -98,7 +100,7 @@ def test_central_two_pass_replay():
     def probe(stage, eng):
         # erase pass done: the store holds the new rows, the CAM is empty
         seen.append(np.array_equal(eng.eram.stored_words(), second))
-        assert eng.cam.is_zero()
+        assert not eng.cam.cells.any()
 
     engine.update(second, probe=probe)
     assert seen == [True]
@@ -117,7 +119,7 @@ def test_hpart_fill_order():
         words = np.arange(b * wb, (b + 1) * wb)
         assert set(words // k) == {b // p}
         assert set((words % k) // wb) == {b % p}
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     payload = generate_payload(4, g)
     engine.update(payload)
     wide = engine.eram.stored_words().reshape(g.erase_row_count, p, wb)
@@ -127,7 +129,7 @@ def test_hpart_fill_order():
 @pytest.mark.parametrize("depth,width", [(65536, 8), (8192, 64), (4096, 16)])
 def test_hpart_regrouping_oracle(depth, width):
     g = geometry_for("s3", depth, width)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     payload = generate_payload(depth + width, g)
     engine.update(payload)
     stream = payload.reshape(g.beat_count, g.words_per_bus_beat)
@@ -157,7 +159,7 @@ def test_beat_word_consistency(arch, depth, width):
     # word v occupies field (v mod k) of row (v div k) for the store's own k
     g = geometry_for(arch, depth, width)
     payload = np.arange(depth, dtype=np.uint64) & np.uint64(g.word_mask)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     engine.update(payload)
     k = g.words_per_beat_k
     rows = _rows(engine, k)
@@ -171,11 +173,11 @@ def test_read_before_write_call_order():
     # the erase pass clears exactly the previous table, so consecutive
     # updates leave one set bit per column and no stale match
     g = geometry_for("s3", 8192, 8)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     first, second = generate_payload(1, g), generate_payload(2, g)
     engine.update(first)
     engine.update(second)
-    assert engine.cam.column_occupancy().max() == 1
+    assert column_occupancy(engine.cam).max() == 1
     reference = ReferenceCam(8192, 8)
     reference.load_full(second)
     assert equivalence_check(engine, reference, first[:128]).passed

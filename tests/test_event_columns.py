@@ -18,8 +18,8 @@ from rcam_sim import engines
 from rcam_sim.bus import calibrated_bus, ideal_bus
 from rcam_sim.calibration import (DEFAULT_CALIBRATED_ETA,
                                   DEFAULT_CALIBRATED_OVERHEAD)
-from rcam_sim.engines import (EventColumns, S1Engine, TraceEvent, UpdateTrace,
-                              timing)
+from rcam_sim.engines import (EventColumns, RcamEngine, TraceEvent,
+                              UpdateTrace, timing)
 from rcam_sim.geometry import ARCHITECTURES, geometry_for
 from rcam_sim.payload import generate_payload
 
@@ -98,7 +98,7 @@ def test_columns_give_the_old_events_and_bytes(arch, depth, width, bus_width,
 
 def test_update_word_records_its_two_events():
     g = geometry_for("s1", 1024, 16)
-    engine = S1Engine(g)
+    engine = RcamEngine(g)
     engine.update(generate_payload(2, g))
     trace = engine.update_word(37, 0xBEEF)
     old = [TraceEvent(0, "erase", 37), TraceEvent(1, "write", 37)]

@@ -149,6 +149,23 @@ def test_trace_path_alone_records_events(tmp_path):
     assert not quiet.record_events
 
 
+def test_empty_trace_path_is_rejected():
+    # "" would build every event and write no file
+    with pytest.raises(ConfigError, match="trace_path must not be empty"):
+        ExperimentConfig(**SMALL, architectures=("s2",), trace_path="")
+    with pytest.raises(ConfigError, match="trace_path must not be empty"):
+        ExperimentConfig.from_dict({"trace_path": ""})
+
+
+def test_sweep_rejects_a_trace_path(tmp_path):
+    # every width would write the same files, and only the last would stay
+    base = ExperimentConfig(verify_oracle=False,
+                            trace_path=str(tmp_path / "t_{arch}.jsonl"))
+    with pytest.raises(ConfigError, match="sweep writes no traces"):
+        run_sweep(base)
+    assert not list(tmp_path.iterdir())
+
+
 def test_oracle_divergence_aborts(monkeypatch):
     from rcam_sim import experiment as exp
 
@@ -183,7 +200,7 @@ def test_unverified_runs_build_no_engine(monkeypatch, off):
     def no_engine(geometry):
         raise AssertionError("an unverified run built an engine")
 
-    monkeypatch.setattr(exp, "build_engine", no_engine)
+    monkeypatch.setattr(exp, "RcamEngine", no_engine)
     config = ExperimentConfig(**{**SMALL, **off})
     report = run_experiment(config)
     assert [r.total_cycles for r in report.results] == [2048, 64, 64]

@@ -6,25 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcam_sim import oracle
-from rcam_sim.engines import build_engine
+from rcam_sim.engines import RcamEngine
 from rcam_sim.geometry import ARCHITECTURES, geometry_for
 from rcam_sim.oracle import ReferenceCam, equivalence_check
 from rcam_sim.payload import generate_payload
 
+from cam_helpers import scan
+
 
 def test_empty_reference_matches_nothing():
     ref = ReferenceCam(64, 8)
-    assert not ref.search(0).any()
-    assert not ref.search(255).any()
+    assert not scan(ref, 0).any()
+    assert not scan(ref, 255).any()
 
 
 def test_store_overwrite_and_range():
     ref = ReferenceCam(64, 8)
     ref.update(3, 200)
-    assert np.flatnonzero(ref.search(200)).tolist() == [3]
+    assert np.flatnonzero(scan(ref, 200)).tolist() == [3]
     ref.update(3, 201)
-    assert not ref.search(200).any()
-    assert np.flatnonzero(ref.search(201)).tolist() == [3]
+    assert not scan(ref, 200).any()
+    assert np.flatnonzero(scan(ref, 201)).tolist() == [3]
     with pytest.raises(ValueError):
         ref.update(64, 0)
     with pytest.raises(ValueError):
@@ -45,7 +47,7 @@ def test_duplicates_set_two_bits():
     ref = ReferenceCam(64, 8)
     ref.update(10, 7)
     ref.update(20, 7)
-    assert np.flatnonzero(ref.search(7)).tolist() == [10, 20]
+    assert np.flatnonzero(scan(ref, 7)).tolist() == [10, 20]
 
 
 def test_double_entry_against_independent_scan():
@@ -59,7 +61,7 @@ def test_double_entry_against_independent_scan():
         stored[idx] = val
     for key in map(int, rng.integers(0, 1 << 16, size=64)):
         expect = sorted(i for i, v in stored.items() if v == key)
-        assert np.flatnonzero(ref.search(key)).tolist() == expect
+        assert np.flatnonzero(scan(ref, key)).tolist() == expect
 
 
 def test_update_order_independence_for_full_tables():
@@ -75,7 +77,7 @@ def test_update_order_independence_for_full_tables():
 
 def test_equivalence_check_pass_and_fault_injection():
     g = geometry_for("s2", 1024, 8)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     payload = generate_payload(6, g)
     engine.update(payload)
     ref = ReferenceCam(1024, 8)
@@ -92,7 +94,7 @@ def test_equivalence_check_pass_and_fault_injection():
 
 def test_equivalence_check_width_mismatch_is_structural():
     g = geometry_for("s2", 1024, 16)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     with pytest.raises(ValueError):
         equivalence_check(engine, ReferenceCam(1024, 8), np.arange(4))
     with pytest.raises(ValueError):
@@ -103,7 +105,7 @@ def test_chunked_compare_finds_the_same_divergence(monkeypatch):
     # the injected fault of test_skipped_erase_is_detectable, with the stale
     # key last so that it lands in a later chunk
     g = geometry_for("s2", 1024, 8)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     payload = generate_payload(8, g)
     engine.update(payload)
     victim, stale_key = 321, int(payload[321])
@@ -140,7 +142,7 @@ def test_reference_update_after_a_compare_is_seen():
     # the first compare sorts the reference; the update must not leave the
     # sorted index stale
     g = geometry_for("s2", 1024, 8)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     payload = generate_payload(6, g)
     engine.update(payload)
     ref = ReferenceCam(1024, 8)
@@ -161,7 +163,7 @@ def test_reference_update_after_a_compare_is_seen():
 @settings(max_examples=80, deadline=None)
 def test_compare_gives_the_dense_verdict(arch, depth, width, data):
     g = geometry_for(arch, depth, width)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     payload = generate_payload(data.draw(st.integers(1, 1000), "seed"), g)
     engine.update(payload)
     ref = ReferenceCam(depth, width)
@@ -229,7 +231,7 @@ def _spy_hits(monkeypatch, ref):
 
 def test_a_table_of_one_word_keeps_chunks_within_the_hit_budget(monkeypatch):
     g = geometry_for("s2", 65536, 8)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     payload = np.full(g.depth_n, 0x5A, dtype=np.uint64)
     engine.update(payload)
     ref = ReferenceCam(g.depth_n, 8)
@@ -249,7 +251,7 @@ def test_a_table_of_one_word_keeps_chunks_within_the_hit_budget(monkeypatch):
 def test_hit_budget_counts_each_distinct_key_once(monkeypatch):
     # two words of N/2 copies each; the budget holds one of them
     g = geometry_for("s2", 4096, 8)
-    engine = build_engine(g)
+    engine = RcamEngine(g)
     payload = np.where(np.arange(g.depth_n) % 2, 0xA5, 0x5A).astype(np.uint64)
     engine.update(payload)
     ref = ReferenceCam(g.depth_n, 8)
