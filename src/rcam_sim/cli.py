@@ -12,9 +12,9 @@ import numpy as np
 from ._version import __version__
 from .calibration import DEFAULT_TARGETS, CalibrationResult, calibrate
 from .engines import RcamEngine
-from .experiment import (ConfigError, ExperimentConfig, OracleDivergenceError,
-                         emit_report, read_config, run_experiment, run_sweep,
-                         search_keys)
+from .experiment import (MAX_KEY_COUNT, ConfigError, ExperimentConfig,
+                         OracleDivergenceError, emit_report, read_config,
+                         run_experiment, run_sweep, search_keys)
 from .geometry import GeometryError, geometry_for
 from .oracle import ReferenceCam, equivalence_check
 from .payload import generate_payload, splitmix64
@@ -185,14 +185,16 @@ def _cmd_verify(args) -> int:
         raise ConfigError("iterations must be >= 0")
     if args.keys < 0:
         raise ConfigError("keys must be >= 0")
+    if args.keys > MAX_KEY_COUNT:
+        raise ConfigError(f"keys must be <= {MAX_KEY_COUNT}")
     depths = (1024, 2048, 4096)
     widths = (8, 16, 32, 64)
     archs = ("s1", "s2", "s3")
-    rng = splitmix64(np.uint64(args.seed)
-                     + np.arange(6 * args.iterations, dtype=np.uint64))
     failures = 0
     for it in range(args.iterations):
-        r = rng[6 * it:6 * it + 6]
+        # six draws per iteration, so no count allocates up front
+        r = splitmix64(np.uint64(args.seed)
+                       + np.arange(6 * it, 6 * it + 6, dtype=np.uint64))
         arch = archs[int(r[0]) % len(archs)]
         depth = depths[int(r[1]) % len(depths)]
         width = widths[int(r[2]) % len(widths)]

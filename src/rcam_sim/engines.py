@@ -91,6 +91,8 @@ _EVENT_ARG_NAME = {
 # What every event's JSONL line starts and ends with.
 _JSONL_HEAD = np.frombuffer(b'{"cycle": ', dtype=np.uint8)
 _JSONL_TAIL = np.frombuffer(b"}\n", dtype=np.uint8)
+# events that iterating an EventColumns turns into Python objects at a time
+_ITER_BLOCK = 1 << 12
 
 
 def _digits(values: np.ndarray) -> np.ndarray:
@@ -135,11 +137,14 @@ class EventColumns:
         return self.cycles.size
 
     def __iter__(self):
-        args = self.args.astype(object)
-        args[self.ranks == self.kinds.index("stall")] = None
-        return map(TraceEvent, self.cycles.tolist(),
-                   np.array(self.kinds, dtype=object)[self.ranks].tolist(),
-                   args.tolist())
+        # block by block, so a reader that stops early builds little
+        kinds = np.array(self.kinds, dtype=object)
+        for at in range(0, len(self), _ITER_BLOCK):
+            ranks = self.ranks[at:at + _ITER_BLOCK]
+            args = self.args[at:at + _ITER_BLOCK].astype(object)
+            args[ranks == self.kinds.index("stall")] = None
+            yield from map(TraceEvent, self.cycles[at:at + _ITER_BLOCK].tolist(),
+                           kinds[ranks].tolist(), args.tolist())
 
     def to_jsonl(self) -> str:
         """Each event's line as ``json.dumps`` writes it, in event order,

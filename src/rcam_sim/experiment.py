@@ -34,6 +34,9 @@ SCHEMA_VERSION = 1
 SWEEP_TABLE_BITS = 65536 * 8
 SWEEP_WIDTHS = (8, 16, 32, 64)
 
+# Most search keys one verification takes, refused before any allocation.
+MAX_KEY_COUNT = 1 << 20
+
 
 class ConfigError(ValueError):
     """Raised for invalid experiment configurations."""
@@ -87,8 +90,8 @@ class ExperimentConfig:
                 "architecture is selected, or each trace overwrites the last")
         if self.bus_mode not in ("ideal", "calibrated"):
             raise ConfigError(f"unknown bus mode {self.bus_mode!r}")
-        if self.key_count < 0:
-            raise ConfigError("key_count must be >= 0")
+        if not 0 <= self.key_count <= MAX_KEY_COUNT:
+            raise ConfigError(f"key_count must be in [0, {MAX_KEY_COUNT}]")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be a 64-bit unsigned value")
         # checked whatever is selected: to_dict prints the field without s3

@@ -8,11 +8,10 @@ import numpy as np
 
 from .geometry import RCU_SLOTS
 
-# Bytes of each side's packed (rcb*k, keys) uint32 slot masks, and reference
+# Bytes of the system's packed (rcb*k, keys) uint32 slot masks, and reference
 # hits (some 40 bytes of index arrays each), that equivalence_check holds per
-# key chunk: verification memory stays flat as keys and hits grow.  Hits are
-# looked up once per distinct key of a chunk, so a chunk never holds more
-# than N of them, and it exceeds the budget only if its first key alone does.
+# chunk of distinct keys: verification memory stays flat as keys and hits
+# grow.  A chunk exceeds the hit budget only if its first key alone does.
 _COMPARE_BYTES = 1 << 24
 _HIT_BUDGET = 1 << 19
 
@@ -102,28 +101,20 @@ class EquivalenceResult:
     first_divergence: tuple[int, int] | None  # (key, word index)
 
 
-def _key_chunks(reference: ReferenceCam, keys: np.ndarray, step: int):
-    """Slices of at most ``step`` keys whose distinct keys have at most
-    ``_HIT_BUDGET`` reference hits, unless the first key alone has more."""
+def _key_chunks(reference: ReferenceCam, distinct: np.ndarray, step: int):
+    """Slices of at most ``step`` distinct keys with at most ``_HIT_BUDGET``
+    reference hits in all, unless the first key alone has more."""
     if reference.depth_n <= _HIT_BUDGET:
         # distinct keys have at most N hits: only ``step`` binds
-        for start in range(0, keys.size, step):
+        for start in range(0, distinct.size, step):
             yield slice(start, start + step)
         return
-    hit_counts = reference.hit_counts(keys)
-    # previous position of each key's value in ``keys``, -1 for the first
-    by_value = np.argsort(keys, kind="stable")
-    repeat = keys[by_value[1:]] == keys[by_value[:-1]]
-    previous = np.full(keys.size, -1)
-    previous[by_value[1:][repeat]] = by_value[:-1][repeat]
+    hits = np.concatenate(([0], reference.hit_counts(distinct).cumsum()))
     start = 0
-    while start < keys.size:
-        # hits a chunk from start adds with each key not already in it
-        stop = min(keys.size, start + step)
-        new_hits = np.where(previous[start:stop] < start,
-                            hit_counts[start:stop], 0).cumsum()
-        end = start + int(np.searchsorted(
-            new_hits, max(_HIT_BUDGET, new_hits[0]), "right"))
+    while start < distinct.size:
+        fit = np.searchsorted(hits[start + 1:start + 1 + step],
+                              hits[start] + _HIT_BUDGET, "right")
+        end = start + max(1, int(fit))
         yield slice(start, end)
         start = end
 
@@ -132,14 +123,13 @@ def equivalence_check(system, reference: ReferenceCam, keys) -> EquivalenceResul
     """Compare a CAM system against the reference over a key sample.
 
     ``system`` needs a ``geometry`` and a ``match_masks`` returning the
-    (rcb*k, keys) uint32 slot masks of :meth:`RcamArray.match_masks`.  The
-    reference's hits for each distinct key of a chunk are scattered into
-    that packed layout, at each word's unit and slot bit, spread to every
-    copy of the key and XORed with the system's masks, so the result is
-    nonzero exactly where the two disagree.  The verdict carries the first
-    diverging (key, word index): the earliest key, then its smallest word.
-    Keys go in chunks whose masks fit ``_COMPARE_BYTES`` and whose distinct
-    keys' reference hits fit ``_HIT_BUDGET``.
+    (rcb*k, keys) uint32 slot masks of :meth:`RcamArray.match_masks`.  Each
+    distinct key is searched once on both sides, in sorted order and in
+    chunks within ``_COMPARE_BYTES`` and ``_HIT_BUDGET``.  A key's masks
+    equal its reference hits exactly when every hit word's (unit, slot) bit
+    is set and the masks hold no other bit.  The verdict carries the first
+    diverging (key, word index): the diverging key seen earliest in
+    ``keys``, then its smallest word.
     """
     g = system.geometry
     if (g.depth_n, g.word_width_w) != (reference.depth_n, reference.word_width_w):
@@ -149,35 +139,33 @@ def equivalence_check(system, reference: ReferenceCam, keys) -> EquivalenceResul
     keys = np.asarray(keys, dtype=np.uint64)
     k = g.words_per_beat_k
     units = g.rcb_count * k
-    # each word's unit and slot bit, as geometry.map_word_index places it
-    rcb, rem = np.divmod(np.arange(g.depth_n), RCU_SLOTS * k)
-    slot, pos = np.divmod(rem, k)
-    unit_of = rcb * k + pos
-    bit_of = np.left_shift(np.uint32(1), slot.astype(np.uint32))
+    # return_index makes numpy sort stably; its default uint64 sort
+    # loads SIMD code that adds 0.6 MB to a small verify run's peak RSS
+    distinct, first = np.unique(keys, return_index=True)
+    found = None  # (first position, key, word) of the earliest divergence
     step = max(1, _COMPARE_BYTES // (4 * units))
-    for at in _key_chunks(reference, keys, step):
-        chunk = keys[at]
+    for at in _key_chunks(reference, distinct, step):
+        chunk = distinct[at]
         got = system.match_masks(chunk)
         if got.shape != (units, chunk.size):
             raise ValueError(
                 f"match mask shape {got.shape}, expected {(units, chunk.size)}")
-        # return_index makes numpy sort stably; its default uint64 sort
-        # loads SIMD code that adds 0.6 MB to a small verify run's peak RSS
-        distinct, _, copy_of = np.unique(chunk, return_index=True,
-                                         return_inverse=True)
-        counts, words = reference.hits(distinct)
-        # A key's hits are distinct words, so their (unit, slot) bits never
-        # collide and adding them ORs them.
-        want = np.zeros((units, distinct.size), dtype=np.uint32)
-        np.add.at(want.reshape(-1),
-                  unit_of[words] * distinct.size
-                  + np.repeat(np.arange(distinct.size), counts), bit_of[words])
-        # np.take gives a fresh array to XOR into; want[:, copy_of] is slower
-        want = np.take(want, copy_of, axis=1)
-        diff = np.bitwise_xor(got, want, out=want)
-        diverged = diff.any(axis=0)
-        if diverged.any():
-            ki = int(diverged.argmax())
-            word = int(np.flatnonzero(diff[unit_of, ki] & bit_of)[0])
-            return EquivalenceResult(False, keys.size, (int(chunk[ki]), word))
-    return EquivalenceResult(True, keys.size, None)
+        counts, words = reference.hits(chunk)
+        # each hit word's unit and slot bit, as map_word_index places it
+        q, pos = np.divmod(words, k)  # q = rcb * RCU_SLOTS + slot
+        bit = np.left_shift(np.uint32(1), (q % RCU_SLOTS).astype(np.uint32))
+        column = np.repeat(np.arange(chunk.size), counts)
+        diverged = np.bitwise_count(got).sum(axis=0) != counts
+        diverged[column[got[q // RCU_SLOTS * k + pos, column] & bit == 0]] = True
+        if not diverged.any():
+            continue
+        i = np.flatnonzero(diverged)[first[at][diverged].argmin()]
+        if found is None or first[at][i] < found[0]:
+            # the one diverging key's engine matches in word order, with
+            # the reference's hits flipped
+            diff = np.unpackbits(got[:, i].astype("<u4").view(np.uint8),
+                                 bitorder="little")
+            diff = diff.reshape(-1, k, RCU_SLOTS).transpose(0, 2, 1).ravel()
+            diff[words[column == i]] ^= 1
+            found = (first[at][i], int(chunk[i]), int(diff.argmax()))
+    return EquivalenceResult(found is None, keys.size, found and found[1:])

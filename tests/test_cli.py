@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rcam_sim
+from rcam_sim import cli
 from rcam_sim.cli import main
 from rcam_sim.rcu import RcamArray
 
@@ -239,6 +245,46 @@ def test_verify_rejects_out_of_range_inputs(capsys, flags, message):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--arch", "s2", "--depth", "1024", "--width", "8",
+      "--keys", "1000000000000000"], "key_count must be in [0, 1048576]"),
+    (["sweep", "--keys", "1048577"], "key_count must be in [0, 1048576]"),
+    (["verify", "--keys", "1000000000000000"], "keys must be <= 1048576"),
+], ids=["run-keys", "sweep-keys", "verify-keys"])
+def test_huge_key_counts_are_refused_before_allocating(argv, message):
+    # a fresh process, so that a traceback would reach stderr
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(rcam_sim.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "rcam_sim.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == f"error: {message}\n"
+    assert "Traceback" not in done.stdout + done.stderr
+
+
+def test_verify_draws_each_iteration_on_its_own(monkeypatch, capsys):
+    # 10^15 iterations start at once: nothing is drawn for all of them
+    class Stop(Exception):
+        pass
+
+    calls = []
+    geometry_for = cli.geometry_for
+
+    def stop_at_the_second(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise Stop
+        return geometry_for(*args)
+
+    monkeypatch.setattr(cli, "geometry_for", stop_at_the_second)
+    with pytest.raises(Stop):
+        main(["verify", "--iterations", str(10 ** 15), "--seed", "1",
+              "--keys", "16"])
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith(f"[  1/{10 ** 15}]") and line.endswith(": ok")
 
 
 @pytest.mark.parametrize("config, message", [

@@ -6,6 +6,7 @@ Both see the same schedule arrays as ``engines.timing``, captured from
 ``engines._events``.
 """
 
+import itertools
 import json
 from unittest import mock
 
@@ -94,6 +95,17 @@ def test_columns_give_the_old_events_and_bytes(arch, depth, width, bus_width,
     _check_equal(list(trace.events), old)
     _check_equal(trace.to_jsonl().split("\n"),
                  _old_jsonl(trace, old).split("\n"))
+
+
+def test_iteration_yields_events_block_by_block():
+    # an s1 trace with stalls, many blocks long
+    g = geometry_for("s1", 65536, 8)
+    trace, old = _traced_timing(g, calibrated_bus(DEFAULT_CALIBRATED_ETA,
+                                                  DEFAULT_CALIBRATED_OVERHEAD))
+    assert trace.stall_cycles > 0 and len(trace.events) > 3 * engines._ITER_BLOCK
+    events = list(trace.events)
+    assert list(itertools.islice(trace.events, 3)) == events[:3]
+    _check_equal(events, old)
 
 
 def test_update_word_records_its_two_events():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcam_sim.bus import BusError
-from rcam_sim.experiment import (ConfigError, ExperimentConfig,
+from rcam_sim.experiment import (MAX_KEY_COUNT, ConfigError, ExperimentConfig,
                                  OracleDivergenceError, emit_report,
                                  load_config, report_csv, run_experiment,
                                  run_sweep)
@@ -30,6 +30,12 @@ def test_config_validation():
         ExperimentConfig(word_width_w=24)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"depth_n": 1024, "wat": 1})
+
+
+def test_key_count_has_a_stated_maximum():
+    assert ExperimentConfig(key_count=MAX_KEY_COUNT).key_count == MAX_KEY_COUNT
+    with pytest.raises(ConfigError, match="key_count must be in"):
+        ExperimentConfig(key_count=MAX_KEY_COUNT + 1)
 
 
 def test_config_round_trip(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rcam_sim import oracle
 from rcam_sim.engines import RcamEngine
+from rcam_sim.experiment import search_keys
 from rcam_sim.geometry import ARCHITECTURES, geometry_for
 from rcam_sim.oracle import ReferenceCam, equivalence_check
 from rcam_sim.payload import generate_payload
@@ -101,9 +102,19 @@ def test_equivalence_check_width_mismatch_is_structural():
         equivalence_check(engine, ReferenceCam(512, 16), np.arange(4))
 
 
+def _spy_searches(monkeypatch, engine):
+    """Record the keys of every ``engine.match_masks`` call."""
+    calls = []
+    match_masks = engine.match_masks
+    monkeypatch.setattr(engine, "match_masks",
+                        lambda chunk: calls.append(chunk.tolist())
+                        or match_masks(chunk))
+    return calls
+
+
 def test_chunked_compare_finds_the_same_divergence(monkeypatch):
     # the injected fault of test_skipped_erase_is_detectable, with the stale
-    # key last so that it lands in a later chunk
+    # key last in the sample
     g = geometry_for("s2", 1024, 8)
     engine = RcamEngine(g)
     payload = generate_payload(8, g)
@@ -118,16 +129,12 @@ def test_chunked_compare_finds_the_same_divergence(monkeypatch):
     whole = equivalence_check(engine, ref, keys)
 
     monkeypatch.setattr(oracle, "_COMPARE_BYTES", 4 * g.depth_n)
-    chunks = []
-    match_masks = engine.match_masks
-    monkeypatch.setattr(engine, "match_masks",
-                        lambda chunk: chunks.append(chunk.tolist())
-                        or match_masks(chunk))
+    chunks = _spy_searches(monkeypatch, engine)
     chunked = equivalence_check(engine, ref, keys)
     assert chunked == whole
     assert chunked.first_divergence == (stale_key, victim)
     assert chunked.keys_checked == 256
-    assert len(chunks) > 1 and stale_key in chunks[-1]
+    assert len(chunks) > 1
 
 
 def _dense_verdict(engine, ref, keys):
@@ -261,4 +268,48 @@ def test_hit_budget_counts_each_distinct_key_once(monkeypatch):
     calls = _spy_hits(monkeypatch, ref)
     keys = np.array([0x5A, 0x5A, 0xA5, 0xA5, 0x5A, 0x11], dtype=np.uint64)
     assert equivalence_check(engine, ref, keys).passed
-    assert calls == [(1, half), (1, half), (2, half)]
+    # in value order: 0x11 (no hits) and 0x5A, then 0xA5
+    assert calls == [(2, half), (1, half)]
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_each_distinct_key_is_searched_once(monkeypatch, arch):
+    # the flagship sample: 1,000 keys at 65,536x8 hold 250 distinct values
+    g = geometry_for(arch, 65536, 8)
+    engine = RcamEngine(g)
+    payload = generate_payload(1, g)
+    engine.update(payload)
+    ref = ReferenceCam(g.depth_n, 8)
+    ref.load_full(payload)
+    keys = search_keys(1, payload, g, 1000)
+    calls = _spy_searches(monkeypatch, engine)
+    verdict = equivalence_check(engine, ref, keys)
+    assert verdict.passed and verdict.keys_checked == 1000
+    searched = [key for call in calls for key in call]
+    assert len(searched) == 250
+    assert searched == sorted(set(keys.tolist()))
+
+
+def test_the_earliest_diverging_key_wins_across_chunks(monkeypatch):
+    # Two faults: the key first seen in the sample is the larger value, so
+    # a compare that walks values in order meets the other one first.
+    g = geometry_for("s2", 1024, 8)
+    engine = RcamEngine(g)
+    payload = generate_payload(8, g)
+    engine.update(payload)
+    ref = ReferenceCam(1024, 8)
+    ref.load_full(payload)
+    late, early = 0x0F, 0xF0
+    assert int(payload[100]) != late and int(payload[700]) != early
+    engine.cam.apply_word(100, late, 1)  # writes without erasing
+    engine.cam.apply_word(700, early, 1)
+    keys = np.array([early, 3, 0x80, late, early, 200], dtype=np.uint64)
+    # one distinct key per chunk
+    monkeypatch.setattr(oracle, "_COMPARE_BYTES", 4 * g.depth_n // 32)
+    calls = _spy_searches(monkeypatch, engine)
+    verdict = equivalence_check(engine, ref, keys)
+    assert (verdict.passed, verdict.first_divergence) == _dense_verdict(
+        engine, ref, keys)
+    assert verdict.first_divergence == (early, 700)
+    chunk_of = {key: n for n, call in enumerate(calls) for key in call}
+    assert chunk_of[late] < chunk_of[early]
