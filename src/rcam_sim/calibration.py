@@ -2,12 +2,12 @@
 
 The measured numbers fold every real-system loss (bank interleaving limits,
 precharge, row activation, refresh) into three end-to-end efficiencies, so
-reproducing them is a calibration, not a prediction: a grid search runs the
-architectures' cycle schedules (:func:`rcam_sim.engines.timing`) at the
-anchor configurations and picks the (stream efficiency, burst overhead)
-pair minimizing the maximum relative error.  Payload values never change
-the timing, so the search builds no engine and writes no table.  Residuals
-are always reported, never hidden.
+reproducing them is a calibration, not a prediction: the cycle schedules
+(:func:`rcam_sim.engines.timing`) run once per knob value at the anchor
+configurations, and arrays of the relative errors over the whole grid give
+the (stream efficiency, burst overhead) pair of least maximum error.
+Payload values never change the timing, so the search builds no engine and
+writes no table.  Residuals are always reported, never hidden.
 
 The fit runs on the default 256-bit bus (the clock does not enter an
 efficiency) over the fixed grids ``ETA_GRID`` and ``OVERHEAD_GRID``; the
@@ -21,6 +21,8 @@ variant is the published comparison point).
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bus import calibrated_bus, update_io_efficiency
 from .engines import timing
@@ -70,9 +72,7 @@ class CalibrationResult:
             max_residual=data["max_residual"])
 
 
-def _simulated_efficiency(arch: str, bus) -> float:
-    depth, width = S1_ANCHOR if arch == "s1" else STREAM_ANCHOR
-    geometry = geometry_for(arch, depth, width, bus.bus_width_b)
+def _efficiency(geometry, bus) -> float:
     return update_io_efficiency(geometry.table_bits,
                                 timing(geometry, bus).total_cycles, bus)
 
@@ -82,8 +82,8 @@ def calibrate(targets: dict[str, float] | None = None) -> CalibrationResult:
 
     ``targets`` maps each of s1, s2 and s3 to its efficiency in (0, 1].
     The traditional architecture depends only on the burst overhead and the
-    streaming ones only on eta, so each knob value is simulated once and
-    the full grid is evaluated from those schedules.
+    streaming ones only on eta, so each knob value is simulated once, at
+    anchor geometries built once, and the grid is evaluated as arrays.
     """
     targets = dict(DEFAULT_TARGETS if targets is None else targets)
     if set(targets) != set(DEFAULT_TARGETS):
@@ -93,31 +93,27 @@ def calibrate(targets: dict[str, float] | None = None) -> CalibrationResult:
         if not 0.0 < eff <= 1.0:
             raise ValueError(
                 f"target for {arch} must lie in (0, 1], got {eff}")
+    anchors = {a: geometry_for(a, *(S1_ANCHOR if a == "s1" else STREAM_ANCHOR))
+               for a in sorted(targets)}
 
-    etas = _grid(ETA_GRID)
-    overheads = _grid(OVERHEAD_GRID)
-    s1_errs = {}
-    for oh in overheads:
-        sim = _simulated_efficiency("s1", calibrated_bus(1.0, oh))
-        s1_errs[oh] = abs(sim - targets["s1"]) / targets["s1"]
+    def errors(arch, buses) -> np.ndarray:
+        g, t = anchors[arch], targets[arch]
+        return np.array([abs(_efficiency(g, b) - t) / t for b in buses])
 
+    etas, overheads = _grid(ETA_GRID), _grid(OVERHEAD_GRID)
+    s1 = errors("s1", [calibrated_bus(1.0, oh) for oh in overheads])
+    stream_buses = [calibrated_bus(eta, 0.0) for eta in etas]
+    s2, s3 = errors("s2", stream_buses), errors("s3", stream_buses)
     # Minimize the maximum relative error; ties go to the smaller error sum
     # (the max is often pinned by one architecture, leaving the other knob
-    # free otherwise).
-    best = None
-    for eta in etas:
-        bus = calibrated_bus(eta, 0.0)
-        stream_errs = [abs(_simulated_efficiency(a, bus) - targets[a])
-                       / targets[a] for a in ("s2", "s3")]
-        for oh in overheads:
-            errs = stream_errs + [s1_errs[oh]]
-            key = (max(errs), sum(errs))
-            if best is None or key < best[0]:
-                best = (key, eta, oh)
+    # free otherwise), then to the first (eta, overhead) in grid order.
+    worst = np.maximum(np.maximum(s2, s3)[:, None], s1[None, :])
+    rows, cols = np.divmod(np.flatnonzero(worst == worst.min()), len(overheads))
+    best = ((s2[rows] + s3[rows]) + s1[cols]).argmin()  # summed as s2, s3, s1
+    eta, overhead = etas[rows[best]], overheads[cols[best]]
 
-    _, eta, overhead = best
     bus = calibrated_bus(eta, overhead)
-    simulated = {arch: _simulated_efficiency(arch, bus) for arch in sorted(targets)}
+    simulated = {arch: _efficiency(g, bus) for arch, g in anchors.items()}
     residuals = {arch: abs(simulated[arch] - targets[arch]) / targets[arch]
                  for arch in simulated}
     return CalibrationResult(

@@ -315,37 +315,36 @@ def search_keys(seed: int, payload: np.ndarray, geometry: CamGeometry,
     return keys
 
 
-def _resolve_payload(config: ExperimentConfig, geometry: CamGeometry) -> np.ndarray:
-    if config.payload_path is not None:
-        return load_payload(config.payload_path, geometry)
-    return generate_payload(config.seed, geometry)
-
-
 def run_experiment(config: ExperimentConfig,
                    calibration: CalibrationResult | None = None) -> EfficiencyReport:
     """Run the selected architectures at one geometry and report.
 
     Every trace comes from the cycle schedule (``timing``).  An engine is
     built and updated only to verify the table against the reference; any
-    oracle divergence aborts the run with diagnostics.  A payload file is
-    read even when verification is off, so a bad one fails; a generated
-    payload is made only for verification.
+    oracle divergence aborts the run with diagnostics.  The architectures
+    share N, W and the seed, so one payload, reference and key sample serve
+    them all.  A payload file is read once, even when verification is off,
+    so a bad one fails; a generated payload is made only for verification.
     """
     bus = config.bus()
     verify = config.verify_oracle and config.key_count > 0
+    shared = config.geometries[config.architectures[0]]
+    if config.payload_path is not None:
+        payload = load_payload(config.payload_path, shared)
+    elif verify:
+        payload = generate_payload(config.seed, shared)
+    if verify:
+        reference = ReferenceCam(config.depth_n, config.word_width_w)
+        reference.load_full(payload)
+        keys = search_keys(config.seed, payload, shared, config.key_count)
     results = []
     for arch in config.architectures:
         geometry = config.geometries[arch]
-        if verify or config.payload_path is not None:
-            payload = _resolve_payload(config, geometry)
         trace = timing(geometry, bus, record_events=config.record_events)
         oracle_info = {"keys_checked": 0, "passed": None}
         if verify:
             engine = RcamEngine(geometry)
             engine.update(payload)
-            reference = ReferenceCam(geometry.depth_n, geometry.word_width_w)
-            reference.load_full(payload)
-            keys = search_keys(config.seed, payload, geometry, config.key_count)
             verdict = equivalence_check(engine, reference, keys)
             if not verdict.passed:
                 raise OracleDivergenceError(arch, geometry,

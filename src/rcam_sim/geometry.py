@@ -36,6 +36,9 @@ M10K_BITS = RCU_ROWS * RCU_SLOTS  # 8,192 bits per embedded memory block
 
 ARCHITECTURES = ("s1", "s2", "s3")
 
+# Deepest table simulated, refused before any allocation.
+MAX_DEPTH = 1 << 20
+
 
 class GeometryError(ValueError):
     """Raised for structurally invalid CAM configurations."""
@@ -60,8 +63,8 @@ class CamGeometry:
     def __post_init__(self) -> None:
         if self.architecture not in ARCHITECTURES:
             raise GeometryError(f"unknown architecture {self.architecture!r}")
-        if self.depth_n <= 0:
-            raise GeometryError("depth_n must be positive")
+        if not 0 < self.depth_n <= MAX_DEPTH:
+            raise GeometryError(f"depth_n must be in [1, {MAX_DEPTH}]")
         if self.word_width_w <= 0 or self.word_width_w % SUB_WORD_BITS != 0:
             raise GeometryError("word_width_w must be a positive multiple of 8")
         if self.word_width_w > 64:

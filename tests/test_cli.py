@@ -265,6 +265,35 @@ def test_huge_key_counts_are_refused_before_allocating(argv, message):
     assert "Traceback" not in done.stdout + done.stderr
 
 
+@pytest.mark.parametrize("arch", ["s2", "all"])
+def test_huge_tables_are_refused_before_allocating(arch):
+    # a fresh process, so that numpy's allocation traceback would show
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(rcam_sim.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "rcam_sim.cli", "run", "--arch", arch,
+         "--depth", str(1 << 40), "--width", "8"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == "error: depth_n must be in [1, 1048576]\n"
+    assert done.stdout == ""
+
+
+def test_huge_tables_make_no_payload(monkeypatch, capsys):
+    from rcam_sim import experiment
+
+    def no_payload(*args):
+        raise AssertionError("a payload was made for a refused table")
+
+    monkeypatch.setattr(experiment, "generate_payload", no_payload)
+    assert main(["run", "--arch", "s2", "--depth", str(1 << 40),
+                 "--width", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: depth_n must be in [1, 1048576]\n"
+    assert captured.out == ""
+
+
 def test_verify_draws_each_iteration_on_its_own(monkeypatch, capsys):
     # 10^15 iterations start at once: nothing is drawn for all of them
     class Stop(Exception):

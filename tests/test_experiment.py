@@ -1,5 +1,8 @@
+import hashlib
 import json
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from rcam_sim.experiment import (MAX_KEY_COUNT, ConfigError, ExperimentConfig,
                                  run_sweep)
 from rcam_sim.geometry import GeometryError, geometry_for
 from rcam_sim.payload import generate_payload, save_payload
+from rcam_sim.rcu import RcamArray
 
 SMALL = dict(depth_n=1024, word_width_w=8, key_count=128)
 
@@ -189,6 +193,77 @@ def test_oracle_divergence_aborts(monkeypatch):
     with pytest.raises(OracleDivergenceError) as info:
         run_experiment(config)
     assert info.value.divergence[1] == 0
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# The flagship report's hash, as the benchmark fingerprint pins it.
+FLAGSHIP_REPORT_SHA = json.loads(
+    (ROOT / "perfbench" / "fingerprint.json").read_text(encoding="utf-8")
+)["workloads"]["flagship"]["outputs"]["report.json"]
+
+
+@pytest.mark.parametrize("source", ["generated", "file"])
+def test_one_payload_reference_and_key_sample_per_run(tmp_path, monkeypatch,
+                                                      source):
+    from rcam_sim import experiment as exp
+
+    calls = Counter()
+    for owner, name in [(exp, "generate_payload"), (exp, "load_payload"),
+                        (exp.ReferenceCam, "load_full"), (exp, "search_keys")]:
+        def counted(*args, _fn=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    config = load_config(ROOT / "configs" / "flagship.json")
+    assert config.architectures == ("s1", "s2", "s3")
+    if source == "file":
+        g = config.geometries["s1"]
+        path = tmp_path / "flagship.bin"
+        save_payload(path, generate_payload(config.seed, g), g)
+        config = replace(config, payload_path=str(path))
+    report = run_experiment(config).to_dict()
+    loads = "generate_payload" if source == "generated" else "load_payload"
+    assert calls == {loads: 1, "load_full": 1, "search_keys": 1}
+    # the same bytes as the flagship report, apart from the path it embeds
+    report["config"]["payload_path"] = None
+    text = json.dumps(report, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        FLAGSHIP_REPORT_SHA)
+
+
+def _drop_a_bit_in(monkeypatch, arch):
+    """Make the CAM of ``arch`` miss one match; return the architectures
+    whose CAMs were searched, in order."""
+    searched = []
+    match_masks = RcamArray.match_masks
+
+    def dropping(self, keys):
+        masks = match_masks(self, keys)
+        searched.append(self.geometry.architecture)
+        if self.geometry.architecture == arch:
+            flat = masks.reshape(-1)
+            at = np.flatnonzero(flat)[0]
+            flat[at] &= flat[at] - np.uint32(1)  # clear its lowest set bit
+        return masks
+
+    monkeypatch.setattr(RcamArray, "match_masks", dropping)
+    return searched
+
+
+def test_the_shared_reference_still_catches_a_later_fault(monkeypatch):
+    searched = _drop_a_bit_in(monkeypatch, "s3")
+    with pytest.raises(OracleDivergenceError, match=r"^s3 at 1024x8") as info:
+        run_experiment(ExperimentConfig(**SMALL))
+    assert info.value.architecture == "s3"
+    assert list(dict.fromkeys(searched)) == ["s1", "s2", "s3"]
+
+
+def test_a_fault_in_s1_aborts_before_s2_runs(monkeypatch):
+    searched = _drop_a_bit_in(monkeypatch, "s1")
+    with pytest.raises(OracleDivergenceError, match=r"^s1 at 1024x8") as info:
+        run_experiment(ExperimentConfig(**SMALL))
+    assert info.value.architecture == "s1"
+    assert set(searched) == {"s1"}
 
 
 def test_verification_can_be_disabled():

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcam_sim.geometry import (CamGeometry, GeometryError, feasible_partitions,
-                               geometry_for, map_word_index, word_index_of)
+from rcam_sim.geometry import (MAX_DEPTH, CamGeometry, GeometryError,
+                               feasible_partitions, geometry_for,
+                               map_word_index, word_index_of)
 
 FLAGSHIP = dict(depth_n=65536, word_width_w=8)
 
@@ -86,6 +87,17 @@ def test_map_range_errors():
 def test_invalid_geometries(kwargs):
     with pytest.raises(GeometryError):
         CamGeometry(**kwargs)
+
+
+@pytest.mark.parametrize("arch", ["s1", "s2", "s3"])
+def test_depth_has_a_stated_maximum(arch):
+    assert geometry_for(arch, MAX_DEPTH, 8).depth_n == MAX_DEPTH
+    for depth in (MAX_DEPTH + 1, 1 << 40):
+        with pytest.raises(GeometryError,
+                           match=r"depth_n must be in \[1, 1048576\]"):
+            geometry_for(arch, depth, 8)
+    with pytest.raises(GeometryError, match="depth_n must be in"):
+        CamGeometry(arch, 0, 8)
 
 
 def test_k_follows_architecture_bus_and_partitions():
