@@ -17,6 +17,8 @@ those resolutions, fractional overheads are realized deterministically as
 differences of floors, and :meth:`BusModel.describe` reports the values that
 were simulated.  Ideal mode pins eta = 1 and overhead = 0, which makes the
 stream schedule the identity and an on-demand access cost exactly one cycle.
+A bus refuses a clock that is not positive and finite (in Hz), and an
+overhead outside [0, ``MAX_BURST_OVERHEAD``], so that no stall sum can wrap.
 
 Throughput and I/O efficiency are always derived from simulated cycle
 counts, never stored independently:
@@ -28,6 +30,7 @@ counts, never stored independently:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +43,9 @@ class BusError(ValueError):
 # Knob resolutions, shared by BusModel, stream_schedule and StallSequence.
 ETA_RESOLUTION = 1000
 OVERHEAD_RESOLUTION = 100
+# Largest burst overhead in cycles; the int64 stall sums of a MAX_DEPTH
+# table cannot wrap below 8e10.
+MAX_BURST_OVERHEAD = 1e6
 
 
 def _quantise(value: float, resolution: int) -> float:
@@ -57,14 +63,16 @@ class BusModel:
     def __post_init__(self) -> None:
         if self.bus_width_b <= 0:
             raise BusError("bus width must be positive")
-        if self.clock_mhz <= 0:
-            raise BusError("clock must be positive")
+        # finite in Hz, as the throughput uses it; NaN fails any comparison
+        if not 0 < self.clock_mhz <= sys.float_info.max / 1e6:
+            raise BusError("clock must be positive and finite")
         if self.mode not in ("ideal", "calibrated"):
             raise BusError(f"unknown bus mode {self.mode!r}")
         if not 0.0 < self.stream_efficiency <= 1.0:
             raise BusError("stream_efficiency must lie in (0, 1]")
-        if self.burst_overhead_cycles < 0:
-            raise BusError("burst_overhead_cycles must be >= 0")
+        if not 0 <= self.burst_overhead_cycles <= MAX_BURST_OVERHEAD:
+            raise BusError(f"burst_overhead_cycles must lie in "
+                           f"[0, {MAX_BURST_OVERHEAD:g}]")
         if self.mode == "ideal" and (self.stream_efficiency != 1.0
                                      or self.burst_overhead_cycles != 0.0):
             raise BusError("ideal mode implies eta = 1 and zero burst overhead")

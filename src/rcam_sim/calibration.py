@@ -2,12 +2,12 @@
 
 The measured numbers fold every real-system loss (bank interleaving limits,
 precharge, row activation, refresh) into three end-to-end efficiencies, so
-reproducing them is a calibration, not a prediction: the cycle schedules
-(:func:`rcam_sim.engines.timing`) run once per knob value at the anchor
-configurations, and arrays of the relative errors over the whole grid give
-the (stream efficiency, burst overhead) pair of least maximum error.
-Payload values never change the timing, so the search builds no engine and
-writes no table.  Residuals are always reported, never hidden.
+reproducing them is a calibration, not a prediction: the closed-form cycle
+totals (:func:`rcam_sim.engines.cycle_total`) are taken once per knob value
+at the anchor configurations, and arrays of the relative errors over the
+whole grid give the (stream efficiency, burst overhead) pair of least
+maximum error.  The fit builds no engine, no schedule and no table.
+Residuals are always reported, never hidden.
 
 The fit runs on the default 256-bit bus (the clock does not enter an
 efficiency) over the fixed grids ``ETA_GRID`` and ``OVERHEAD_GRID``; the
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bus import calibrated_bus, update_io_efficiency
-from .engines import timing
+from .engines import cycle_total
 from .geometry import geometry_for
 # The benchmark's tracer (perfbench/tracing.py) wraps this name; the fit
 # itself makes no payload.
@@ -74,7 +74,7 @@ class CalibrationResult:
 
 def _efficiency(geometry, bus) -> float:
     return update_io_efficiency(geometry.table_bits,
-                                timing(geometry, bus).total_cycles, bus)
+                                cycle_total(geometry, bus), bus)
 
 
 def calibrate(targets: dict[str, float] | None = None) -> CalibrationResult:
@@ -82,7 +82,7 @@ def calibrate(targets: dict[str, float] | None = None) -> CalibrationResult:
 
     ``targets`` maps each of s1, s2 and s3 to its efficiency in (0, 1].
     The traditional architecture depends only on the burst overhead and the
-    streaming ones only on eta, so each knob value is simulated once, at
+    streaming ones only on eta, so each knob value's total is taken once, at
     anchor geometries built once, and the grid is evaluated as arrays.
     """
     targets = dict(DEFAULT_TARGETS if targets is None else targets)

@@ -14,6 +14,10 @@ the only code that turns a bus into a trace:
 * events merge by a stable sort on (cycle, kind rank), the rank being a
   per-architecture intra-cycle order (``_EVENT_ORDER``).
 
+:func:`cycle_total` gives that total in O(1) closed form from the geometry
+and the quantised knobs alone.  ``timing`` refuses a schedule that ends
+elsewhere, and ``stall_cycles`` is the total minus the ideal-bus one.
+
 One :class:`RcamEngine` models the memory of every architecture and takes
 only a geometry.  Its ``update`` first takes ``timing`` on the ideal bus of
 the geometry's width, so that a schedule it refuses leaves the CAM as it
@@ -63,8 +67,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bus import (IDEAL_BUS, BusModel, demand_schedule, ideal_bus,
-                  stream_schedule)
+from .bus import (ETA_RESOLUTION, IDEAL_BUS, OVERHEAD_RESOLUTION, BusModel,
+                  demand_schedule, ideal_bus, stream_schedule)
 from .erase_store import EraseStore
 from .geometry import CamGeometry
 from .rcu import RcamArray
@@ -287,13 +291,32 @@ class RcamEngine:
 S1Engine = S2Engine = S3Engine = RcamEngine
 
 
-def ideal_total_cycles(geometry: CamGeometry) -> int:
-    """Cycles of one full-table update on the ideal bus."""
-    if geometry.architecture == "s1":
-        return 2 * geometry.depth_n
-    if geometry.architecture == "s3" and geometry.partitions_p > 1:
-        return geometry.beat_count + 1
-    return 2 * geometry.beat_count  # s2, and s3 with no overlap (P = 1)
+def cycle_total(geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
+                prefetch_one_beat: bool = False) -> int:
+    """Cycles of one full-table update on ``bus``, in closed form: exact
+    integer arithmetic at the knob resolutions, eta = e/1000 and overhead =
+    o/100.  Every schedule of :func:`timing` must end there."""
+    if bus.bus_width_b != geometry.bus_width_b:
+        raise EngineError(
+            f"bus width {bus.bus_width_b} != geometry bus width "
+            f"{geometry.bus_width_b}")
+    g, beats = geometry, geometry.beat_count
+    if g.architecture == "s1":
+        o = round(bus.burst_overhead_cycles * OVERHEAD_RESOLUTION)
+        stalls = beats * o // OVERHEAD_RESOLUTION  # floor(beats * overhead)
+        if not prefetch_one_beat:
+            return 2 * g.depth_n + stalls
+        # The first stall shows whole, each later one overlaps the c cycles
+        # of the beat before; n_hi of those beats - 1 stalls are lo + 1.
+        c, lo = 2 * g.words_per_bus_beat, o // OVERHEAD_RESOLUTION
+        n_hi = stalls - beats * lo
+        return (lo + c + n_hi * max(c, 2 + lo)
+                + (beats - 1 - n_hi) * max(c, 1 + lo))
+    e = round(bus.stream_efficiency * ETA_RESOLUTION)
+    streamed = -(-beats * ETA_RESOLUTION // e)  # ceil(beats / eta)
+    if g.architecture == "s2":
+        return streamed + beats
+    return max(2 * g.erase_row_count, streamed + 1)
 
 
 def timing(geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
@@ -302,13 +325,11 @@ def timing(geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
     """The trace of one full-table update on ``bus``, from the cycle
     schedule alone: this takes no payload and builds no engine.
     ``prefetch_one_beat`` is the s1 sensitivity knob of ``demand_schedule``.
+    A schedule whose total differs from :func:`cycle_total` is refused.
     """
-    if bus.bus_width_b != geometry.bus_width_b:
-        raise EngineError(
-            f"bus width {bus.bus_width_b} != geometry bus width "
-            f"{geometry.bus_width_b}")
-    return _trace(geometry, *_schedule(geometry, bus, prefetch_one_beat),
-                  record_events)
+    total = cycle_total(geometry, bus, prefetch_one_beat)
+    return _trace(geometry, total,
+                  *_schedule(geometry, bus, prefetch_one_beat), record_events)
 
 
 def _schedule(g: CamGeometry, bus: BusModel, prefetch_one_beat: bool):
@@ -336,10 +357,13 @@ def _schedule(g: CamGeometry, bus: BusModel, prefetch_one_beat: bool):
             *_s3_writes(g, beats))
 
 
-def _trace(g: CamGeometry, beats: np.ndarray, erases: np.ndarray,
-           writes: np.ndarray, catch_up: int | None,
+def _trace(g: CamGeometry, total: int, beats: np.ndarray,
+           erases: np.ndarray, writes: np.ndarray, catch_up: int | None,
            record_events: bool) -> UpdateTrace:
-    total = int(writes.max()) + 1
+    last_write = int(writes.max())
+    if last_write + 1 != total:
+        raise EngineError(f"schedule takes {last_write + 1} cycles, the "
+                          f"closed form {total}")
     events = None
     if record_events:
         events = _events(_EVENT_ORDER[g.architecture], total, beats, erases,
@@ -348,9 +372,9 @@ def _trace(g: CamGeometry, beats: np.ndarray, erases: np.ndarray,
         architecture=g.architecture, depth_n=g.depth_n,
         word_width_w=g.word_width_w, total_cycles=total,
         bus_read_cycles=beats.size,
-        stall_cycles=total - ideal_total_cycles(g),
+        stall_cycles=total - cycle_total(g, ideal_bus(g.bus_width_b)),
         erase_span=(int(erases.min()), int(erases.max())),
-        write_span=(int(writes.min()), int(writes.max())),
+        write_span=(int(writes.min()), last_write),
         catch_up_cycles=catch_up, events=events)
 
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcam_sim.bus import (OVERHEAD_RESOLUTION, BusError, BusModel, IDEAL_BUS,
+from rcam_sim.bus import (MAX_BURST_OVERHEAD, OVERHEAD_RESOLUTION, BusError,
+                          BusModel, IDEAL_BUS,
                           StallSequence, calibrated_bus, demand_schedule,
                           stream_schedule, update_io_efficiency,
                           update_throughput_gbps)
@@ -19,6 +20,28 @@ def test_bus_validation():
     with pytest.raises(BusError):
         BusModel(mode="turbo")
     calibrated_bus(0.9, 1.5)  # fine
+
+
+@pytest.mark.parametrize("overhead", [-0.01, MAX_BURST_OVERHEAD + 0.01,
+                                      float("inf"), float("nan")])
+def test_burst_overhead_is_bounded(overhead):
+    with pytest.raises(BusError, match="burst_overhead_cycles must lie in"):
+        calibrated_bus(1.0, overhead)
+
+
+def test_the_largest_burst_overhead_cannot_wrap_a_schedule():
+    bus = calibrated_bus(1.0, MAX_BURST_OVERHEAD)
+    beats = 1 << 20  # a MAX_DEPTH table of words as wide as the bus
+    starts = demand_schedule(bus, beats, 2)
+    assert int(starts[-1]) == (beats - 1) * 2 + beats * int(MAX_BURST_OVERHEAD)
+
+
+@pytest.mark.parametrize("clock", [0.0, -1.0, float("inf"), float("nan"),
+                                   1e303])
+def test_clock_is_positive_and_finite(clock):
+    with pytest.raises(BusError, match="clock must be positive and finite"):
+        BusModel(clock_mhz=clock)
+    assert BusModel(clock_mhz=1e302).clock_mhz == 1e302
 
 
 def test_knobs_are_quantised_to_what_is_simulated():

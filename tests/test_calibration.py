@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rcam_sim import calibration
-from rcam_sim.bus import calibrated_bus, update_io_efficiency
+from rcam_sim import calibration, engines
+from rcam_sim.bus import StallSequence, calibrated_bus, update_io_efficiency
 from rcam_sim.calibration import (DEFAULT_CALIBRATED_ETA,
                                   DEFAULT_CALIBRATED_OVERHEAD, DEFAULT_TARGETS,
                                   ETA_GRID, OVERHEAD_GRID, S1_ANCHOR,
@@ -70,6 +70,18 @@ def test_fit_runs_no_functional_pass(monkeypatch):
     monkeypatch.setattr(RcamArray, "apply_full_table", refuse)
     monkeypatch.setattr(EraseStore, "store_words", refuse)
     monkeypatch.setattr(calibration, "generate_payload", refuse)
+    assert _file_sha(calibrate()) == DEFAULT_FIT_SHA
+
+
+def test_fit_builds_no_schedule(monkeypatch):
+    # every total comes from the closed forms of engines.cycle_total
+    def refuse(*args, **kwargs):
+        raise AssertionError("calibrate built a schedule")
+
+    monkeypatch.setattr(engines, "_schedule", refuse)
+    monkeypatch.setattr(engines, "timing", refuse)
+    monkeypatch.setattr(engines, "stream_schedule", refuse)
+    monkeypatch.setattr(StallSequence, "take", refuse)
     assert _file_sha(calibrate()) == DEFAULT_FIT_SHA
 
 

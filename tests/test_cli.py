@@ -13,6 +13,15 @@ from rcam_sim.cli import main
 from rcam_sim.rcu import RcamArray
 
 
+def _fresh_cli(argv) -> subprocess.CompletedProcess:
+    """``rcam-sim argv`` in a new interpreter, with this rcam_sim first."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(rcam_sim.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "rcam_sim.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_run_writes_json_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["run", "--arch", "all", "--depth", "1024", "--width", "8",
@@ -255,11 +264,7 @@ def test_verify_rejects_out_of_range_inputs(capsys, flags, message):
 ], ids=["run-keys", "sweep-keys", "verify-keys"])
 def test_huge_key_counts_are_refused_before_allocating(argv, message):
     # a fresh process, so that a traceback would reach stderr
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(rcam_sim.__file__).parents[1]),
-         os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-m", "rcam_sim.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    done = _fresh_cli(argv)
     assert done.returncode == 1
     assert done.stderr == f"error: {message}\n"
     assert "Traceback" not in done.stdout + done.stderr
@@ -268,15 +273,39 @@ def test_huge_key_counts_are_refused_before_allocating(argv, message):
 @pytest.mark.parametrize("arch", ["s2", "all"])
 def test_huge_tables_are_refused_before_allocating(arch):
     # a fresh process, so that numpy's allocation traceback would show
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(rcam_sim.__file__).parents[1]),
-         os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-m", "rcam_sim.cli", "run", "--arch", arch,
-         "--depth", str(1 << 40), "--width", "8"],
-        capture_output=True, text=True, env=env, timeout=60)
+    done = _fresh_cli(["run", "--arch", arch, "--depth", str(1 << 40),
+                       "--width", "8"])
     assert done.returncode == 1
     assert done.stderr == "error: depth_n must be in [1, 1048576]\n"
+    assert done.stdout == ""
+
+
+_OVERHEAD_BOUND = "burst_overhead_cycles must lie in [0, 1e+06]"
+_CLOCK_BOUND = "clock must be positive and finite"
+
+
+@pytest.mark.parametrize("flags,config,message", [
+    (["--burst-overhead", "1e300"], None, _OVERHEAD_BOUND),
+    (["--burst-overhead", "inf"], None, _OVERHEAD_BOUND),
+    (["--burst-overhead", "nan"], None, _OVERHEAD_BOUND),
+    # would wrap the int64 stall sums
+    (["--burst-overhead", "1e15"], None, _OVERHEAD_BOUND),
+    ([], '{"burst_overhead_cycles": Infinity}', _OVERHEAD_BOUND),
+    (["--clock", "inf"], None, _CLOCK_BOUND),
+    (["--clock", "nan"], None, _CLOCK_BOUND),
+    (["--clock", "1e303"], None, _CLOCK_BOUND),  # infinite in Hz
+    ([], '{"clock_mhz": NaN}', _CLOCK_BOUND),
+])
+def test_unbounded_bus_knobs_are_refused(tmp_path, flags, config, message):
+    # a fresh process, so that an overflow traceback would show
+    argv = ["run", "--arch", "s1", "--bus", "calibrated", "--depth", "1024",
+            *flags]
+    if config is not None:
+        (tmp_path / "config.json").write_text(config)
+        argv += ["--config", str(tmp_path / "config.json")]
+    done = _fresh_cli(argv)
+    assert done.returncode == 1
+    assert done.stderr == f"error: {message}\n"
     assert done.stdout == ""
 
 

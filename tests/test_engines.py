@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rcam_sim.bus import calibrated_bus, ideal_bus
-from rcam_sim.engines import (EngineError, RcamEngine, ideal_total_cycles,
-                              timing)
-from rcam_sim.geometry import ARCHITECTURES, geometry_for
+from rcam_sim import engines
+from rcam_sim.bus import (ETA_RESOLUTION, MAX_BURST_OVERHEAD,
+                          OVERHEAD_RESOLUTION, BusModel, calibrated_bus,
+                          ideal_bus)
+from rcam_sim.engines import EngineError, RcamEngine, cycle_total, timing
+from rcam_sim.geometry import (ARCHITECTURES, MAX_DEPTH, RCU_SLOTS,
+                               CamGeometry, geometry_for)
 from rcam_sim.oracle import ReferenceCam, equivalence_check
 from rcam_sim.payload import generate_payload
 
@@ -74,6 +79,101 @@ def test_monotone_speedup():
         assert t3 <= t2 <= t1
         if depth * width // 256 < 2 * depth:
             assert t2 < t1
+
+
+# -- closed forms: an oracle for the schedules ---------------------------------
+
+def _s3_catch_up(g: CamGeometry, eta_num: int) -> int:
+    """The s3 catch-up length in closed form, at eta = eta_num/1000.
+
+    Write j lands at max(G + j, ready(j)), ready(j) = ceil((j+1)P/eta)
+    being the cycle after its last beat, and ready(j) - j never falls as j
+    grows.  So the backlog has drained at once (length 1) when the first
+    group is late, and otherwise at the first j in [1, G) with
+    ready(j) - j > G (length j + 1), or after the last write (G + 1).
+    """
+    groups, p = g.erase_row_count, g.partitions_p
+    j = np.arange(groups, dtype=np.int64)
+    ready = -(-(j + 1) * p * ETA_RESOLUTION // eta_num)
+    if ready[0] > groups:
+        return 1
+    late = np.flatnonzero(ready[1:] - j[1:] > groups)
+    return int(late[0]) + 2 if late.size else groups + 1
+
+
+@st.composite
+def timed_points(draw):
+    """(geometry, bus, prefetch): any valid table up to MAX_DEPTH words and
+    any knob at its resolution, up to MAX_BURST_OVERHEAD."""
+    arch = draw(st.sampled_from(ARCHITECTURES))
+    width = draw(st.sampled_from([8, 16, 32, 64]))
+    bus_width = width << draw(st.integers(0, 5))
+    p = draw(st.sampled_from([1, 2, 4, 8, 16])) if arch == "s3" else 1
+    k = 1 if arch == "s1" else p * bus_width // width  # words per cycle
+    block = max(RCU_SLOTS * k, bus_width // width)
+    depth = block * draw(st.integers(1, MAX_DEPTH // block))
+    eta = draw(st.integers(1, ETA_RESOLUTION) | st.just(ETA_RESOLUTION))
+    overhead = draw(st.integers(0, 4 * OVERHEAD_RESOLUTION) | st.integers(
+        0, int(MAX_BURST_OVERHEAD) * OVERHEAD_RESOLUTION))
+    bus = BusModel(bus_width, mode="calibrated",
+                   stream_efficiency=eta / ETA_RESOLUTION,
+                   burst_overhead_cycles=overhead / OVERHEAD_RESOLUTION)
+    prefetch = arch == "s1" and draw(st.booleans())
+    return CamGeometry(arch, depth, width, bus_width, p), bus, prefetch
+
+
+FLAGSHIP_BUS = calibrated_bus(0.976, 1.9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(timed_points())
+@example((geometry_for("s1", 65536, 8), FLAGSHIP_BUS, False))
+@example((geometry_for("s1", 65536, 8), FLAGSHIP_BUS, True))
+@example((geometry_for("s1", 8192, 64), calibrated_bus(1.0, 12.07), True))
+@example((geometry_for("s2", 65536, 8), FLAGSHIP_BUS, False))
+@example((geometry_for("s3", 65536, 8), FLAGSHIP_BUS, False))
+@example((geometry_for("s3", 65536, 8), ideal_bus(), False))
+@example((geometry_for("s1", 1 << 20, 8), FLAGSHIP_BUS, True))
+@example((geometry_for("s2", 1 << 20, 8), FLAGSHIP_BUS, False))
+@example((geometry_for("s3", 1 << 20, 8), ideal_bus(), False))
+@example((geometry_for("s3", 1 << 20, 8), calibrated_bus(0.001, 0), False))
+def test_closed_forms_match_the_schedules(point):
+    g, bus, prefetch = point
+    writes = engines._schedule(g, bus, prefetch)[2]
+    trace = timing(g, bus, prefetch)
+    total = cycle_total(g, bus, prefetch)
+    assert int(writes.max()) + 1 == trace.total_cycles == total
+    assert trace.stall_cycles == total - cycle_total(
+        g, ideal_bus(g.bus_width_b))
+    if g.architecture == "s3":
+        eta = round(bus.stream_efficiency * ETA_RESOLUTION)
+        assert trace.catch_up_cycles == _s3_catch_up(g, eta)
+
+
+def test_closed_forms_give_the_reported_figures():
+    flagship = {a: geometry_for(a, 65536, 8) for a in ARCHITECTURES}
+    assert [cycle_total(g) for g in flagship.values()] == [131072, 4096, 2049]
+    assert _s3_catch_up(flagship["s3"], ETA_RESOLUTION) == 37
+    assert _s3_catch_up(geometry_for("s3", 1 << 20, 8), ETA_RESOLUTION) == 586
+    # s1 at 8,192x64: 9.9 cycles a beat, or 8 with the prefetch
+    g = geometry_for("s1", 8192, 64)
+    assert cycle_total(g, calibrated_bus(1.0, 1.9)) == 16384 + 3891
+    assert cycle_total(g, calibrated_bus(1.0, 1.9), True) == 16384 + 1
+
+
+def test_timing_refuses_a_schedule_off_the_closed_form(monkeypatch):
+    schedule = engines._schedule
+
+    def last_write_late(g, bus, prefetch):
+        beats, erases, writes, catch_up = schedule(g, bus, prefetch)
+        writes = writes.copy()
+        writes[-1] += 1
+        return beats, erases, writes, catch_up
+
+    monkeypatch.setattr(engines, "_schedule", last_write_late)
+    for arch in ARCHITECTURES:
+        with pytest.raises(EngineError, match="closed form"):
+            timing(geometry_for(arch, 2048, 16))
 
 
 # -- functional correctness ---------------------------------------------------
@@ -270,8 +370,8 @@ def test_s1_prefetch_hides_steady_state_overhead():
 def test_streamed_engines_wait_for_beats(arch):
     g = geometry_for(arch, 2048, 8)
     trace = timing(g, calibrated_bus(0.9, 0.0))
-    assert trace.total_cycles > ideal_total_cycles(g)
-    assert trace.stall_cycles == trace.total_cycles - ideal_total_cycles(g)
+    assert trace.total_cycles > cycle_total(g)
+    assert trace.stall_cycles == trace.total_cycles - cycle_total(g)
     # correctness unaffected by stalls
     engine = RcamEngine(g)
     payload = generate_payload(4, g)

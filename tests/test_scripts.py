@@ -57,3 +57,37 @@ def test_partition_sensitivity_runs(monkeypatch, capsys):
     # cycle counts, spans, catch-up lengths and stalls are fixed outputs
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == (
         "ef18969b139f1c57b5f1aef9b84b818d6c221bd4e0db191be067c79a9978a3eb")
+
+
+def test_bench_pairs_alternates_and_summarises():
+    script = _load("bench_pairs")
+    calls = []
+
+    def stub(side):  # no git, no subprocess: op times 10..14 vs 9..5 ms
+        calls.append(side)
+        pair = (len(calls) + 1) // 2
+        ms = 9 + pair if side == "parent" else 10 - pair
+        rss = 30.0 if side == "parent" else 30.0 + pair % 2
+        return {"failed": 0, "metrics": {
+            "op_ms_p50": {"value": float(ms)},
+            "peak_rss_mb": {"value": rss}}}
+
+    records = script.run_pairs("calibrate", 1, 5, stub)
+    # the parent runs first in odd pairs, the change in even ones
+    assert calls == ["parent", "change", "change", "parent", "parent",
+                     "change", "change", "parent", "parent", "change"]
+    assert [r["pair"] for r in records] == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+    summary = script.summarise(records, {"op_ms_p50": "lower",
+                                         "peak_rss_mb": "lower"})
+    op = summary["op_ms_p50"]
+    assert summary["pairs"] == 5
+    # exclusive quartiles of 10..14 and 5..9
+    assert op["parent_median"] == 12.0 and op["change_median"] == 7.0
+    assert op["parent_quartiles"] == [10.5, 13.5] and op["parent_iqr"] == 3.0
+    assert op["change_quartiles"] == [5.5, 8.5]
+    assert op["change_vs_parent"] == 7.0 / 12.0 - 1
+    assert op["change_wins"] == "5/5"
+    # a tie is no win; the change's RSS is higher in the odd pairs
+    assert summary["peak_rss_mb"]["change_wins"] == "0/5"
+    higher = script.summarise(records, {"peak_rss_mb": "higher"})
+    assert higher["peak_rss_mb"]["change_wins"] == "3/5"
