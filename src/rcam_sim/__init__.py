@@ -9,12 +9,11 @@ from .engines import RcamEngine, UpdateTrace
 from .erase_store import EraseStore
 from .experiment import (EfficiencyReport, ExperimentConfig, emit_report,
                          run_experiment, run_sweep)
-from .geometry import (CamGeometry, GeometryError, geometry_for,
-                       map_word_index, word_index_of)
+from .geometry import CamGeometry, GeometryError, geometry_for, map_word_index
 from .oracle import EquivalenceResult, ReferenceCam, equivalence_check
 from .payload import generate_payload, load_payload, save_payload
 from .rcu import RcamArray
-from .resources import ResourceReport, m10k_report, memory_saving
+from .resources import ResourceReport, m10k_report
 
 __all__ = [
     "__version__",
@@ -27,9 +26,9 @@ __all__ = [
     "EfficiencyReport", "ExperimentConfig", "emit_report",
     "run_experiment", "run_sweep",
     "CamGeometry", "GeometryError", "geometry_for",
-    "map_word_index", "word_index_of",
+    "map_word_index",
     "EquivalenceResult", "ReferenceCam", "equivalence_check",
     "generate_payload", "load_payload", "save_payload",
     "RcamArray",
-    "ResourceReport", "m10k_report", "memory_saving",
+    "ResourceReport", "m10k_report",
 ]

@@ -207,7 +207,7 @@ def _cmd_verify(args) -> int:
             engine.update(payload)
             reference.load_full(payload)
             keys = search_keys(int(r[5]), payload, geometry, args.keys)
-            verdict = equivalence_check(engine, reference, keys)
+            verdict = equivalence_check(engine.cam, reference, keys)
             if not verdict.passed:
                 break
         status = "ok" if verdict.passed else f"DIVERGED {verdict.first_divergence}"

@@ -24,13 +24,14 @@ the geometry's width, so that a schedule it refuses leaves the CAM as it
 was.  It then checks the payload, runs the erase pass over the old table,
 the erase-store swap, the optional ``after_erase`` probe (refused for s1)
 and the write pass, and returns that ideal-bus trace, without events.
+``update_word``, s1's single-word erase/write pair, changes the memory alone
+and returns nothing.
 
-The sorted (cycle, rank, arg) arrays are the trace's only event record:
-:class:`EventColumns` reads them as a sequence of :class:`TraceEvent`
-without building one, and writes them as JSONL in one pass over a byte
-matrix: each event is a NUL-padded row of its kind's text pieces and the
-decimal digits of its cycle and argument, and dropping the NULs leaves the
-lines ``json.dumps`` would write.
+The sorted (cycle, rank, arg) arrays are the trace's only event record.
+:class:`EventColumns` holds them as read-only columns and writes them as
+JSONL in one pass over a byte matrix: each event is a NUL-padded row of its
+kind's text pieces and the decimal digits of its cycle and argument, and
+dropping the NULs leaves the lines ``json.dumps`` would write.
 
 The erase and write passes are vectorized; they are order-equivalent to the
 per-cycle semantics because each CAM column is touched exactly once per
@@ -63,25 +64,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .bus import (ETA_RESOLUTION, IDEAL_BUS, OVERHEAD_RESOLUTION, BusModel,
                   demand_schedule, ideal_bus, stream_schedule)
 from .erase_store import EraseStore
-from .geometry import CamGeometry
+from .geometry import MAX_DEPTH, CamGeometry
 from .rcu import RcamArray
 
 
 class EngineError(ValueError):
     """Raised for payload/geometry/bus mismatches."""
-
-
-class TraceEvent(NamedTuple):
-    cycle: int
-    kind: str  # "beat" | "erase" | "write" | "erase_row" | "write_row" | "stall"
-    arg: int | None
 
 
 _EVENT_ARG_NAME = {
@@ -95,8 +90,11 @@ _EVENT_ARG_NAME = {
 # What every event's JSONL line starts and ends with.
 _JSONL_HEAD = np.frombuffer(b'{"cycle": ', dtype=np.uint8)
 _JSONL_TAIL = np.frombuffer(b"}\n", dtype=np.uint8)
-# events that iterating an EventColumns turns into Python objects at a time
-_ITER_BLOCK = 1 << 12
+# Longest update whose events are recorded: 4x the longest ideal-bus update
+# (s1, 2 * MAX_DEPTH cycles), which admits every ideal-bus and calibrated
+# trace up to MAX_DEPTH words.  Event memory grows with the cycles, not the
+# table, so a large burst overhead or a small eta would otherwise exhaust it.
+MAX_TRACE_CYCLES = 4 * 2 * MAX_DEPTH
 
 
 def _digits(values: np.ndarray) -> np.ndarray:
@@ -125,8 +123,9 @@ class EventColumns:
     """One update's events as read-only columns, in event order.
 
     ``cycles``, ``ranks`` and ``args`` hold each event's cycle, its kind as
-    an index into ``kinds`` and its beat, word or row number.  Iterating
-    yields :class:`TraceEvent` tuples, with ``arg`` None for a stall.
+    an index into ``kinds`` and its beat, word or row number.  A stall has
+    no argument: its ``args`` entry counts the stalls before it, and the
+    JSONL line leaves it out.
     """
 
     __slots__ = ("kinds", "cycles", "ranks", "args")
@@ -139,16 +138,6 @@ class EventColumns:
 
     def __len__(self) -> int:
         return self.cycles.size
-
-    def __iter__(self):
-        # block by block, so a reader that stops early builds little
-        kinds = np.array(self.kinds, dtype=object)
-        for at in range(0, len(self), _ITER_BLOCK):
-            ranks = self.ranks[at:at + _ITER_BLOCK]
-            args = self.args[at:at + _ITER_BLOCK].astype(object)
-            args[ranks == self.kinds.index("stall")] = None
-            yield from map(TraceEvent, self.cycles[at:at + _ITER_BLOCK].tolist(),
-                           kinds[ranks].tolist(), args.tolist())
 
     def to_jsonl(self) -> str:
         """Each event's line as ``json.dumps`` writes it, in event order,
@@ -238,16 +227,12 @@ class RcamEngine:
         self.cam = RcamArray(geometry)
         self.eram = EraseStore(geometry)
 
-    # Searches are pure reads.  They must not run while an update is in
-    # flight except from a probe callback.
-    def match_masks(self, keys) -> np.ndarray:
-        return self.cam.match_masks(keys)
-
     def update(self, payload, probe: Callable | None = None) -> UpdateTrace:
         """Run one full-table update; return its ideal-bus trace.
 
         The schedule is taken first, so that one it refuses leaves the CAM
-        as it was.  ``probe("after_erase", engine)`` runs between the passes.
+        as it was.  ``probe("after_erase", engine)`` runs between the passes;
+        it is the only place a search of ``engine.cam`` may run mid-update.
         """
         g = self.geometry
         # s1 erases and writes word by word, so no all-erased state exists
@@ -263,8 +248,8 @@ class RcamEngine:
         self.cam.apply_full_table(payload, 1)  # write pass
         return trace
 
-    def update_word(self, index: int, value: int) -> UpdateTrace:
-        """s1 incremental single-word update: one erase/write pair (2 cycles)."""
+    def update_word(self, index: int, value: int) -> None:
+        """s1 incremental single-word update: one erase/write pair."""
         g = self.geometry
         if g.architecture != "s1":
             raise EngineError(f"{g.architecture} has no single-word update")
@@ -275,15 +260,6 @@ class RcamEngine:
         self.cam.apply_word(index, int(self.eram.words[index]), 0)
         self.eram.words[index] = value
         self.cam.apply_word(index, value, 1)
-        order = _EVENT_ORDER["s1"]
-        events = EventColumns(
-            order, np.array([0, 1]),
-            np.array([order.index("erase"), order.index("write")]),
-            np.array([index, index]))
-        return UpdateTrace(
-            architecture="s1", depth_n=g.depth_n, word_width_w=g.word_width_w,
-            total_cycles=2, bus_read_cycles=0, stall_cycles=0,
-            erase_span=(0, 0), write_span=(1, 1), events=events)
 
 
 # The benchmark's tracer (perfbench/tracing.py) wraps ``update`` under these
@@ -325,9 +301,14 @@ def timing(geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
     """The trace of one full-table update on ``bus``, from the cycle
     schedule alone: this takes no payload and builds no engine.
     ``prefetch_one_beat`` is the s1 sensitivity knob of ``demand_schedule``.
-    A schedule whose total differs from :func:`cycle_total` is refused.
+    A schedule whose total differs from :func:`cycle_total` is refused, and
+    so are events for an update longer than ``MAX_TRACE_CYCLES``.
     """
     total = cycle_total(geometry, bus, prefetch_one_beat)
+    if record_events and total > MAX_TRACE_CYCLES:
+        raise EngineError(
+            f"a traced update may take at most {MAX_TRACE_CYCLES} cycles; "
+            f"this one takes {total}")
     return _trace(geometry, total,
                   *_schedule(geometry, bus, prefetch_one_beat), record_events)
 

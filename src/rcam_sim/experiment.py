@@ -345,7 +345,7 @@ def run_experiment(config: ExperimentConfig,
         if verify:
             engine = RcamEngine(geometry)
             engine.update(payload)
-            verdict = equivalence_check(engine, reference, keys)
+            verdict = equivalence_check(engine.cam, reference, keys)
             if not verdict.passed:
                 raise OracleDivergenceError(arch, geometry,
                                             verdict.first_divergence)

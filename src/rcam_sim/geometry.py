@@ -192,12 +192,3 @@ def map_word_index(geometry: CamGeometry, word: int) -> tuple[int, int, int]:
     rcb, rem = divmod(word, group)
     j, i = divmod(rem, geometry.words_per_beat_k)
     return rcb, j, i
-
-
-def word_index_of(geometry: CamGeometry, rcb: int, slot: int, position: int) -> int:
-    """Inverse of :func:`map_word_index`."""
-    k = geometry.words_per_beat_k
-    if not (0 <= rcb < geometry.rcb_count and 0 <= slot < RCU_SLOTS
-            and 0 <= position < k):
-        raise GeometryError(f"triple ({rcb}, {slot}, {position}) out of range")
-    return rcb * RCU_SLOTS * k + slot * k + position

@@ -61,15 +61,20 @@ def save_payload(path, payload, geometry: CamGeometry) -> None:
 
 
 def load_payload(path, geometry: CamGeometry) -> np.ndarray:
-    """Parse a raw payload file; the size must match the geometry exactly."""
+    """Parse a raw payload file; the size must match the geometry exactly.
+
+    At most one byte past the expected size is read, so an endless file
+    such as ``/dev/zero`` is refused as too long, not read to exhaustion.
+    """
     expected = payload_bytes(geometry)
-    data = Path(path).read_bytes()  # missing/unreadable paths raise OSError
+    with open(path, "rb") as f:  # missing/unreadable paths raise OSError
+        data = f.read(expected + 1)
     if len(data) < expected:
         raise PayloadError(
             f"payload file too short: {len(data)} bytes, need {expected}")
     if len(data) > expected:
         raise PayloadError(
-            f"payload file too long: {len(data)} bytes, need {expected}")
+            f"payload file too long: more than {expected} bytes")
     nbytes = geometry.word_width_w // 8
     raw = np.frombuffer(data, dtype=np.uint8).reshape(geometry.depth_n, nbytes)
     words = np.zeros(geometry.depth_n, dtype=np.uint64)

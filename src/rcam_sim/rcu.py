@@ -11,8 +11,9 @@ write are the same port operation with a different bit, so one private
 primitive, ``RcamArray._apply``, does every cell write: for a whole table
 (:meth:`RcamArray.apply_full_table`, the engine's erase and write passes) and
 for one word (``apply_word``).  A search ANDs the slices' packed slot masks
-(:meth:`RcamArray.match_masks`); the oracle compares in that packed layout,
-and only ``search_batch`` and ``slice_match`` unpack to word order.
+(:meth:`RcamArray.match_masks`).  ``oracle.equivalence_check`` takes the
+array itself and compares in that packed layout; only ``search_batch`` and
+``slice_match`` unpack to word order.
 """
 
 from __future__ import annotations
@@ -79,10 +80,6 @@ class RcamArray:
         if not 0 <= sub_key < RCU_ROWS:
             raise ValueError(f"sub_key {sub_key} out of range")
         return self._unpack(self._gather(slice_no, np.array([sub_key])))[0]
-
-    def search(self, key: int) -> np.ndarray:
-        """Length-N boolean match vector for a full-width key."""
-        return self.search_batch(np.asarray([key], dtype=np.uint64))[0]
 
     def search_batch(self, keys: np.ndarray) -> np.ndarray:
         """Match vectors for many keys at once; shape (len(keys), N)."""

@@ -92,11 +92,3 @@ def m10k_report(shape: tuple[int, int], architecture: str) -> ResourceReport:
         rcu_blocks=rcu, erase_blocks=erase,
         erase_ram_utilization=utilization,
         saving_vs_s1=1.0 - (rcu + erase) / s1_total)
-
-
-def memory_saving(advanced: ResourceReport, baseline: ResourceReport) -> float:
-    """Fraction of blocks saved by ``advanced`` relative to ``baseline``."""
-    if (advanced.depth_n, advanced.word_width_w) != (baseline.depth_n,
-                                                     baseline.word_width_w):
-        raise GeometryError("reports cover different geometries")
-    return 1.0 - advanced.total_m10k / baseline.total_m10k

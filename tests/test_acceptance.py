@@ -12,10 +12,12 @@ from rcam_sim.bus import ideal_bus, update_io_efficiency
 from rcam_sim.calibration import calibrate
 from rcam_sim.engines import RcamEngine, timing
 from rcam_sim.experiment import ExperimentConfig, run_experiment
-from rcam_sim.geometry import geometry_for, map_word_index, word_index_of
+from rcam_sim.geometry import geometry_for, map_word_index
 from rcam_sim.oracle import ReferenceCam, equivalence_check
 from rcam_sim.payload import generate_payload, splitmix64
-from rcam_sim.resources import m10k_report, memory_saving
+from rcam_sim.resources import m10k_report
+
+from cam_helpers import event_tuples, search, word_index_of
 
 ARCHS = ("s1", "s2", "s3")
 SWEEP = [(65536, 8), (32768, 16), (16384, 32), (8192, 64)]
@@ -50,7 +52,7 @@ def test_criterion_1_oracle_equivalence():
                         * np.uint64(pass_no + 1)) & np.uint64(geometry.word_mask)
                     keys[:500] = payload[(keys[:500]
                                           % np.uint64(depth)).astype(np.intp)]
-                    verdict = equivalence_check(engine, reference, keys)
+                    verdict = equivalence_check(engine.cam, reference, keys)
                     assert verdict.passed, (
                         f"{arch} {depth}x{width} pass {pass_no}: "
                         f"diverged at {verdict.first_divergence}")
@@ -98,7 +100,7 @@ def test_criterion_4_resource_reproduction():
             assert m10k_report(shape, arch).total_m10k == 2112
     s1 = m10k_report((65536, 8), "s1")
     assert s1.total_m10k == 4096
-    saving = memory_saving(m10k_report((65536, 8), "s2"), s1)
+    saving = m10k_report((65536, 8), "s2").saving_vs_s1
     assert abs(saving - 0.484) <= 0.001
     assert s1.erase_ram_utilization == 256 / 8192
     assert abs(s1.erase_ram_utilization - 0.032) <= 0.001
@@ -169,11 +171,11 @@ def test_criterion_7_invariant_suite():
         assert seen == ["after_erase"]
         trace = timing(geometry, record_events=True)
         erase_by_row, write_by_row = {}, {}
-        for ev in trace.events:
-            if ev.kind == "erase_row":
-                erase_by_row[ev.arg] = ev.cycle
-            elif ev.kind == "write_row":
-                write_by_row[ev.arg] = ev.cycle
+        for cycle, kind, arg in event_tuples(trace.events):
+            if kind == "erase_row":
+                erase_by_row[arg] = cycle
+            elif kind == "write_row":
+                write_by_row[arg] = cycle
         assert set(erase_by_row) == set(write_by_row)
         assert all(erase_by_row[r] < write_by_row[r] for r in erase_by_row)
 
@@ -191,7 +193,7 @@ def test_criterion_7_invariant_suite():
                 per_slice,
                 ((payload >> np.uint64(8 * c)) & np.uint64(0xFF)) == sub)
             acc &= per_slice
-        assert np.array_equal(engine.cam.search(key), acc)
+        assert np.array_equal(search(engine.cam, key), acc)
 
     # determinism of traces and reports
     def one_trace():

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -13,13 +14,23 @@ from rcam_sim.cli import main
 from rcam_sim.rcu import RcamArray
 
 
+# Address space of a fresh CLI process: a refusal that regresses into a huge
+# allocation then fails with MemoryError instead of exhausting the host.
+_FRESH_CLI_BYTES = 1 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_FRESH_CLI_BYTES, _FRESH_CLI_BYTES))
+
+
 def _fresh_cli(argv) -> subprocess.CompletedProcess:
     """``rcam-sim argv`` in a new interpreter, with this rcam_sim first."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(rcam_sim.__file__).parents[1]),
          os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-m", "rcam_sim.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=_cap_address_space)
 
 
 def test_run_writes_json_report(tmp_path, capsys):
@@ -277,6 +288,33 @@ def test_huge_tables_are_refused_before_allocating(arch):
                        "--width", "8"])
     assert done.returncode == 1
     assert done.stderr == "error: depth_n must be in [1, 1048576]\n"
+    assert done.stdout == ""
+
+
+@pytest.mark.parametrize("arch,flags,cycles", [
+    ("s1", ["--burst-overhead", "1e6"], 32770097152),
+    ("s2", ["--eta", "0.001"], 32800768),
+], ids=["s1-overhead", "s2-eta"])
+def test_traces_too_long_to_hold_are_refused(tmp_path, arch, flags, cycles):
+    # a trace holds a few bytes per cycle; this one would need gigabytes
+    trace = tmp_path / "trace.jsonl"
+    done = _fresh_cli(["run", "--arch", arch, "--depth", "1048576",
+                       "--width", "8", "--bus", "calibrated", *flags,
+                       "--no-verify", "--trace", str(trace)])
+    assert done.returncode == 1
+    assert done.stderr == ("error: a traced update may take at most 8388608 "
+                           f"cycles; this one takes {cycles}\n")
+    assert done.stdout == ""
+    assert not trace.exists()
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero")
+def test_an_endless_payload_file_is_refused():
+    # a fresh, capped process: reading the whole file would never end
+    done = _fresh_cli(["run", "--arch", "s2", "--depth", "1024", "--width",
+                       "8", "--no-verify", "--payload", "/dev/zero"])
+    assert done.returncode == 1
+    assert done.stderr == "error: payload file too long: more than 1024 bytes\n"
     assert done.stdout == ""
 
 

@@ -6,6 +6,7 @@ from rcam_sim.bus import calibrated_bus, ideal_bus
 from rcam_sim.engines import timing
 from rcam_sim.geometry import geometry_for
 
+from cam_helpers import event_tuples
 from cycle_stepper import step
 
 # (depth, width, bus width): s3 gets P = 1, 4, 4, 8 and 8 here
@@ -32,7 +33,7 @@ def test_timing_matches_the_stepper(arch, prefetch, knobs, depth, width,
                 - step(g, ideal, prefetch)["total_cycles"]}
     assert trace.summary() == {k: list(v) if k.endswith("_span") else v
                                for k, v in expected.items() if k != "events"}
-    assert list(trace.events) == stepped["events"]
+    assert event_tuples(trace.events) == stepped["events"]
 
 
 def test_the_stepper_gives_the_reported_figures():

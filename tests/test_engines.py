@@ -7,13 +7,15 @@ from rcam_sim import engines
 from rcam_sim.bus import (ETA_RESOLUTION, MAX_BURST_OVERHEAD,
                           OVERHEAD_RESOLUTION, BusModel, calibrated_bus,
                           ideal_bus)
+from rcam_sim.calibration import (DEFAULT_CALIBRATED_ETA,
+                                  DEFAULT_CALIBRATED_OVERHEAD)
 from rcam_sim.engines import EngineError, RcamEngine, cycle_total, timing
 from rcam_sim.geometry import (ARCHITECTURES, MAX_DEPTH, RCU_SLOTS,
                                CamGeometry, geometry_for)
 from rcam_sim.oracle import ReferenceCam, equivalence_check
 from rcam_sim.payload import generate_payload
 
-from cam_helpers import column_occupancy
+from cam_helpers import column_occupancy, event_tuples, search
 
 GRID = [(1024, 8), (1024, 64), (2048, 16), (4096, 8), (4096, 32), (8192, 64)]
 
@@ -195,15 +197,15 @@ def test_payload_fidelity(arch, width):
             rng.integers(0, g.word_mask, size=250, dtype=np.uint64,
                          endpoint=True),
         ])
-        verdict = equivalence_check(engine, ref, keys)
+        verdict = equivalence_check(engine.cam, ref, keys)
         assert verdict.passed, verdict.first_divergence
 
 
 def test_search_before_any_write_is_empty():
     g = geometry_for("s2", 1024, 8)
     engine = RcamEngine(g)
-    assert not engine.cam.search(0).any()
-    assert not engine.cam.search(123).any()
+    assert not search(engine.cam, 0).any()
+    assert not search(engine.cam, 123).any()
 
 
 def test_duplicates_match_everywhere():
@@ -213,7 +215,7 @@ def test_duplicates_match_everywhere():
     payload[10] = payload[20] = 77
     payload[77] = 0  # remove the ramp's own 77
     engine.update(payload)
-    hits = np.flatnonzero(engine.cam.search(77))
+    hits = np.flatnonzero(search(engine.cam, 77))
     assert {10, 20} <= set(hits.tolist())
     assert set(hits.tolist()) == set(np.flatnonzero(payload == 77).tolist())
 
@@ -235,15 +237,15 @@ def word_phase_cycles(trace, geometry):
     k = geometry.words_per_beat_k
     erase = np.full(n, -1)
     write = np.full(n, -1)
-    for ev in trace.events:
-        if ev.kind == "erase":
-            erase[ev.arg] = ev.cycle
-        elif ev.kind == "write":
-            write[ev.arg] = ev.cycle
-        elif ev.kind == "erase_row":
-            erase[ev.arg * k:(ev.arg + 1) * k] = ev.cycle
-        elif ev.kind == "write_row":
-            write[ev.arg * k:(ev.arg + 1) * k] = ev.cycle
+    for cycle, kind, arg in event_tuples(trace.events):
+        if kind == "erase":
+            erase[arg] = cycle
+        elif kind == "write":
+            write[arg] = cycle
+        elif kind == "erase_row":
+            erase[arg * k:(arg + 1) * k] = cycle
+        elif kind == "write_row":
+            write[arg * k:(arg + 1) * k] = cycle
     return erase, write
 
 
@@ -274,20 +276,21 @@ def test_s3_refuses_a_beat_before_its_index(monkeypatch):
 
 def test_s3_write_waits_for_beats_and_erase():
     g, trace = run("s3", 2048, 64, record_events=True)
-    beat_cycle = {ev.arg: ev.cycle for ev in trace.events if ev.kind == "beat"}
+    events = event_tuples(trace.events)
+    beat_cycle = {arg: cycle for cycle, kind, arg in events if kind == "beat"}
     erase_end = trace.erase_span[1]
     p = g.partitions_p
-    for ev in trace.events:
-        if ev.kind == "write_row":
-            group = ev.arg
+    for cycle, kind, group in events:
+        if kind == "write_row":
             last_beat = beat_cycle[group * p + p - 1]
-            assert ev.cycle > last_beat
-            assert ev.cycle > erase_end
+            assert cycle > last_beat
+            assert cycle > erase_end
 
 
 def test_s3_at_most_one_write_per_cycle():
     _, trace = run("s3", 4096, 8, record_events=True)
-    cycles = [ev.cycle for ev in trace.events if ev.kind == "write_row"]
+    cycles = [cycle for cycle, kind, _ in event_tuples(trace.events)
+              if kind == "write_row"]
     assert len(cycles) == len(set(cycles))
     assert cycles == sorted(cycles)
 
@@ -302,7 +305,7 @@ def test_post_erase_state_is_zero(arch):
     def probe(stage, eng):
         stages.append(stage)
         assert not eng.cam.cells.any()
-        assert not eng.cam.search(42).any()  # probe-mode search allowed
+        assert not search(eng.cam, 42).any()  # probe-mode search allowed
 
     engine.update(generate_payload(6, g), probe=probe)
     assert stages == ["after_erase"]
@@ -329,6 +332,36 @@ def test_update_times_the_geometry_bus_width():
     trace = RcamEngine(g).update(generate_payload(7, g))
     assert trace.summary() == timing(g, ideal_bus(64)).summary()
     assert trace.bus_read_cycles == 1024 * 8 // 64
+
+
+def test_traced_updates_have_a_cycle_bound(monkeypatch):
+    # events grow with the cycles, so a longer update is refused before its
+    # schedule is built, and its summary stays available; a small bound
+    # keeps this test small should the refusal ever fail
+    g = geometry_for("s1", 1024, 8)
+    monkeypatch.setattr(engines, "MAX_TRACE_CYCLES", cycle_total(g))
+    assert timing(g, record_events=True).events.cycles.max() == 2047
+    slow = calibrated_bus(1.0, 1.0)
+    with pytest.raises(EngineError,
+                       match="at most 2048 cycles; this one takes 2080"):
+        timing(g, slow, record_events=True)
+    assert timing(g, slow).total_cycles == 2080
+
+
+def test_every_ideal_and_shipped_trace_fits_the_bound():
+    assert engines.MAX_TRACE_CYCLES == 1 << 23
+    shipped = (DEFAULT_CALIBRATED_ETA, DEFAULT_CALIBRATED_OVERHEAD)
+    for arch in ARCHITECTURES:
+        for width in (8, 16, 32, 64):
+            for bus_width in (width, 64, 256, 1024):
+                if bus_width % width:
+                    continue
+                g = geometry_for(arch, MAX_DEPTH, width, bus_width)
+                for bus in (ideal_bus(bus_width),
+                            calibrated_bus(*shipped, bus_width)):
+                    for prefetch in {False, arch == "s1"}:
+                        assert (cycle_total(g, bus, prefetch)
+                                <= engines.MAX_TRACE_CYCLES)
 
 
 @pytest.mark.parametrize("arch", ["s2", "s3"])
@@ -378,7 +411,7 @@ def test_streamed_engines_wait_for_beats(arch):
     engine.update(payload)
     ref = ReferenceCam(2048, 8)
     ref.load_full(payload)
-    assert equivalence_check(engine, ref, payload[:200]).passed
+    assert equivalence_check(engine.cam, ref, payload[:200]).passed
 
 
 def test_calibrated_fidelity_across_archs():
@@ -390,7 +423,7 @@ def test_calibrated_fidelity_across_archs():
         engine.update(payload)
         ref = ReferenceCam(1024, 32)
         ref.load_full(payload)
-        assert equivalence_check(engine, ref, payload[:300]).passed
+        assert equivalence_check(engine.cam, ref, payload[:300]).passed
 
 
 # -- incremental updates and bookkeeping ---------------------------------------
@@ -400,17 +433,55 @@ def test_s1_incremental_word_update():
     engine = RcamEngine(g)
     payload = generate_payload(2, g)
     engine.update(payload)
-    trace = engine.update_word(100, 0xBEEF)
-    assert trace.total_cycles == 2
+    assert engine.update_word(100, 0xBEEF) is None  # timing owns traces
+    table = payload.copy()
+    table[100] = 0xBEEF
     ref = ReferenceCam(1024, 16)
-    ref.load_full(payload)
-    ref.update(100, 0xBEEF)
+    ref.load_full(table)
     keys = np.array([0xBEEF, payload[100], payload[99]], dtype=np.uint64)
-    assert equivalence_check(engine, ref, keys).passed
+    assert equivalence_check(engine.cam, ref, keys).passed
     with pytest.raises(EngineError):
         engine.update_word(5000, 1)
     with pytest.raises(EngineError):
         engine.update_word(0, 1 << 16)
+
+
+@given(depth=st.sampled_from([1024, 2048, 4096]),
+       width=st.sampled_from([8, 16, 32, 64]), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_single_word_updates_match_a_rebuilt_reference(depth, width, data):
+    # a full update, then single-word updates mirrored in a shadow table;
+    # the reference is rebuilt from the shadow with load_full
+    g = geometry_for("s1", depth, width)
+    engine = RcamEngine(g)
+    shadow = generate_payload(data.draw(st.integers(1, 1000), "seed"), g)
+    engine.update(shadow)
+    index = st.integers(0, depth - 1)
+    value = st.integers(0, g.word_mask) | index.map(lambda i: int(shadow[i]))
+    writes = data.draw(st.lists(st.tuples(index, value), min_size=1,
+                                max_size=40), "writes")
+    skipped = data.draw(st.integers(0, len(writes) - 1), "write not mirrored")
+    unmirrored = shadow.copy()
+    for n, (i, v) in enumerate(writes):
+        engine.update_word(i, v)
+        shadow[i] = v
+        if n != skipped:
+            unmirrored[i] = v
+    i = writes[skipped][0]
+    keys = np.array(data.draw(st.lists(value, max_size=20), "keys")
+                    + [int(shadow[i]), int(unmirrored[i])], dtype=np.uint64)
+    ref = ReferenceCam(depth, width)
+    ref.load_full(shadow)
+    verdict = equivalence_check(engine.cam, ref, keys)
+    assert verdict.passed, verdict.first_divergence
+    # without one mirrored write the reference differs at that word alone,
+    # unless a later write to it, or the same value, hides the skip
+    ref.load_full(unmirrored)
+    verdict = equivalence_check(engine.cam, ref, keys)
+    assert verdict.passed == (shadow[i] == unmirrored[i])
+    if not verdict.passed:
+        assert verdict.first_divergence in {(int(shadow[i]), i),
+                                            (int(unmirrored[i]), i)}
 
 
 def test_s1_rejects_a_probe():
@@ -429,7 +500,7 @@ def test_rejects_bad_payloads_and_keys():
     with pytest.raises(EngineError):
         engine.update(np.full(1024, 256, dtype=np.uint64))
     with pytest.raises(ValueError, match="wider than 8 bits"):
-        engine.cam.search(256)
+        search(engine.cam, 256)
 
 
 def test_timing_rejects_what_the_engines_reject():
@@ -454,9 +525,10 @@ def test_skipped_erase_is_detectable():
     engine.cam.apply_word(victim, 0x3C, 1)  # write without erasing
     occupancy = column_occupancy(engine.cam)
     assert occupancy.max() == 2
+    table = payload.copy()
+    table[victim] = 0x3C
     ref = ReferenceCam(1024, 8)
-    ref.load_full(payload)
-    ref.update(victim, 0x3C)
-    verdict = equivalence_check(engine, ref, np.array([stale_key], dtype=np.uint64))
+    ref.load_full(table)
+    verdict = equivalence_check(engine.cam, ref, np.array([stale_key], dtype=np.uint64))
     assert not verdict.passed
     assert verdict.first_divergence == (stale_key, victim)

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from rcam_sim.geometry import (MAX_DEPTH, CamGeometry, GeometryError,
                                feasible_partitions, geometry_for,
-                               map_word_index, word_index_of)
+                               map_word_index)
+
+from cam_helpers import word_index_of
 
 FLAGSHIP = dict(depth_n=65536, word_width_w=8)
 
@@ -74,7 +76,7 @@ def test_map_range_errors():
     with pytest.raises(GeometryError):
         map_word_index(g, 1024)
     with pytest.raises(GeometryError):
-        word_index_of(g, 1, 0, 0)
+        map_word_index(g, -1)
 
 
 @pytest.mark.parametrize("kwargs", [

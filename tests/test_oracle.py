@@ -15,65 +15,87 @@ from rcam_sim.payload import generate_payload
 from cam_helpers import scan
 
 
-def test_empty_reference_matches_nothing():
+def test_search_before_load_full_is_refused():
     ref = ReferenceCam(64, 8)
-    assert not scan(ref, 0).any()
-    assert not scan(ref, 255).any()
+    for lookup in (ref.search_batch, ref.hit_counts, ref.hits):
+        with pytest.raises(ValueError, match="before load_full"):
+            lookup(np.array([0], dtype=np.uint64))
+    engine = RcamEngine(geometry_for("s1", 64, 8))
+    with pytest.raises(ValueError, match="before load_full"):
+        equivalence_check(engine.cam, ref, np.arange(4))
 
 
 def test_store_overwrite_and_range():
     ref = ReferenceCam(64, 8)
-    ref.update(3, 200)
+    table = np.zeros(64, dtype=np.uint64)
+    table[3] = 200
+    ref.load_full(table)
     assert np.flatnonzero(scan(ref, 200)).tolist() == [3]
-    ref.update(3, 201)
+    table[3] = 201
+    ref.load_full(table)
     assert not scan(ref, 200).any()
     assert np.flatnonzero(scan(ref, 201)).tolist() == [3]
     with pytest.raises(ValueError):
-        ref.update(64, 0)
+        ref.load_full(np.zeros(65, dtype=np.uint64))
     with pytest.raises(ValueError):
-        ref.update(0, 256)
+        ref.load_full(np.full(64, 256, dtype=np.uint64))
+    # a refused load leaves the table as it was
+    assert np.flatnonzero(scan(ref, 201)).tolist() == [3]
 
 
 def test_load_full_rejects_words_wider_than_w():
-    # as update does: 300 at W=8 must not load as 300 & 0xFF
+    # 300 at W=8 must not load as 300 & 0xFF
     ref = ReferenceCam(4, 8)
     with pytest.raises(ValueError, match="wider than 8 bits"):
         ref.load_full([1, 2, 300, 4])
-    with pytest.raises(ValueError):
-        ref.update(0, 300)
-    assert not ref.occupied.any()
+    with pytest.raises(ValueError, match="before load_full"):
+        ref.search_batch([2])  # nothing was loaded
 
 
 def test_duplicates_set_two_bits():
     ref = ReferenceCam(64, 8)
-    ref.update(10, 7)
-    ref.update(20, 7)
+    table = np.zeros(64, dtype=np.uint64)
+    table[[10, 20]] = 7
+    ref.load_full(table)
     assert np.flatnonzero(scan(ref, 7)).tolist() == [10, 20]
 
 
 def test_double_entry_against_independent_scan():
     # redundant implementation: plain python loop over stored tuples
     rng = np.random.default_rng(2)
-    ref = ReferenceCam(500, 16)
-    stored = {}
+    table = np.zeros(500, dtype=np.uint64)
+    stored = dict.fromkeys(range(500), 0)
     for _ in range(900):
         idx, val = int(rng.integers(500)), int(rng.integers(1 << 16))
-        ref.update(idx, val)
+        table[idx] = val
         stored[idx] = val
-    for key in map(int, rng.integers(0, 1 << 16, size=64)):
+    ref = ReferenceCam(500, 16)
+    ref.load_full(table)
+    keys = rng.integers(0, 1 << 16, size=64).astype(np.uint64)
+    keys[:32] = table[rng.integers(500, size=32)]  # these hit
+    counts, words = ref.hits(keys)
+    ends = np.cumsum(counts)
+    for key, match, end, count in zip(keys.tolist(), ref.search_batch(keys),
+                                      ends.tolist(), counts.tolist()):
         expect = sorted(i for i, v in stored.items() if v == key)
-        assert np.flatnonzero(scan(ref, key)).tolist() == expect
+        assert np.flatnonzero(match).tolist() == expect
+        assert words[end - count:end].tolist() == expect
 
 
 def test_update_order_independence_for_full_tables():
-    payload = np.random.default_rng(3).integers(0, 256, size=128).astype(np.uint64)
+    # a table answers the same whatever was loaded and searched before it
+    rng = np.random.default_rng(3)
+    payload, other = rng.integers(0, 256, size=(2, 128)).astype(np.uint64)
+    keys = np.arange(256, dtype=np.uint64)
     a = ReferenceCam(128, 8)
     a.load_full(payload)
     b = ReferenceCam(128, 8)
-    for idx in np.random.default_rng(4).permutation(128):
-        b.update(int(idx), int(payload[idx]))
-    keys = np.arange(256, dtype=np.uint64)
+    b.load_full(other)
+    b.hits(keys)  # builds the sorted index of the first table
+    b.load_full(payload)
     assert np.array_equal(a.search_batch(keys), b.search_batch(keys))
+    for got, want in zip(a.hits(keys), b.hits(keys)):
+        assert np.array_equal(got, want)
 
 
 def test_equivalence_check_pass_and_fault_injection():
@@ -84,11 +106,13 @@ def test_equivalence_check_pass_and_fault_injection():
     ref = ReferenceCam(1024, 8)
     ref.load_full(payload)
     keys = np.arange(256, dtype=np.uint64)
-    assert equivalence_check(engine, ref, keys).passed
+    assert equivalence_check(engine.cam, ref, keys).passed
     # fault injection: skip the erase for one rewrite
-    engine.cam.apply_word(500, (int(payload[500]) + 1) % 256, 1)
-    ref.update(500, (int(payload[500]) + 1) % 256)
-    verdict = equivalence_check(engine, ref, keys)
+    table = payload.copy()
+    table[500] = (int(payload[500]) + 1) % 256
+    engine.cam.apply_word(500, int(table[500]), 1)
+    ref.load_full(table)
+    verdict = equivalence_check(engine.cam, ref, keys)
     assert not verdict.passed
     assert verdict.first_divergence[1] == 500
 
@@ -97,16 +121,16 @@ def test_equivalence_check_width_mismatch_is_structural():
     g = geometry_for("s2", 1024, 16)
     engine = RcamEngine(g)
     with pytest.raises(ValueError):
-        equivalence_check(engine, ReferenceCam(1024, 8), np.arange(4))
+        equivalence_check(engine.cam, ReferenceCam(1024, 8), np.arange(4))
     with pytest.raises(ValueError):
-        equivalence_check(engine, ReferenceCam(512, 16), np.arange(4))
+        equivalence_check(engine.cam, ReferenceCam(512, 16), np.arange(4))
 
 
 def _spy_searches(monkeypatch, engine):
-    """Record the keys of every ``engine.match_masks`` call."""
+    """Record the keys of every ``engine.cam.match_masks`` call."""
     calls = []
-    match_masks = engine.match_masks
-    monkeypatch.setattr(engine, "match_masks",
+    match_masks = engine.cam.match_masks
+    monkeypatch.setattr(engine.cam, "match_masks",
                         lambda chunk: calls.append(chunk.tolist())
                         or match_masks(chunk))
     return calls
@@ -121,16 +145,17 @@ def test_chunked_compare_finds_the_same_divergence(monkeypatch):
     engine.update(payload)
     victim, stale_key = 321, int(payload[321])
     engine.cam.apply_word(victim, 0x3C, 1)  # write without erasing
+    table = payload.copy()
+    table[victim] = 0x3C
     ref = ReferenceCam(1024, 8)
-    ref.load_full(payload)
-    ref.update(victim, 0x3C)
+    ref.load_full(table)
     keys = np.array([k for k in range(256) if k != stale_key] + [stale_key],
                     dtype=np.uint64)
-    whole = equivalence_check(engine, ref, keys)
+    whole = equivalence_check(engine.cam, ref, keys)
 
     monkeypatch.setattr(oracle, "_COMPARE_BYTES", 4 * g.depth_n)
     chunks = _spy_searches(monkeypatch, engine)
-    chunked = equivalence_check(engine, ref, keys)
+    chunked = equivalence_check(engine.cam, ref, keys)
     assert chunked == whole
     assert chunked.first_divergence == (stale_key, victim)
     assert chunked.keys_checked == 256
@@ -146,7 +171,7 @@ def _dense_verdict(engine, ref, keys):
 
 
 def test_reference_update_after_a_compare_is_seen():
-    # the first compare sorts the reference; the update must not leave the
+    # the first compare sorts the reference; a reload must not leave the
     # sorted index stale
     g = geometry_for("s2", 1024, 8)
     engine = RcamEngine(g)
@@ -155,10 +180,12 @@ def test_reference_update_after_a_compare_is_seen():
     ref = ReferenceCam(1024, 8)
     ref.load_full(payload)
     keys = np.arange(256, dtype=np.uint64)
-    assert equivalence_check(engine, ref, keys).passed
+    assert equivalence_check(engine.cam, ref, keys).passed
     old, new = int(payload[500]), (int(payload[500]) + 1) % 256
-    ref.update(500, new)
-    verdict = equivalence_check(engine, ref, keys)
+    table = payload.copy()
+    table[500] = new
+    ref.load_full(table)
+    verdict = equivalence_check(engine.cam, ref, keys)
     assert (verdict.passed, verdict.first_divergence) == (
         False, (min(old, new), 500)) == _dense_verdict(engine, ref, keys)
 
@@ -174,12 +201,7 @@ def test_compare_gives_the_dense_verdict(arch, depth, width, data):
     payload = generate_payload(data.draw(st.integers(1, 1000), "seed"), g)
     engine.update(payload)
     ref = ReferenceCam(depth, width)
-    if data.draw(st.booleans(), "partial reference"):
-        for i in data.draw(st.lists(st.integers(0, depth - 1), max_size=64),
-                           "occupied"):
-            ref.update(i, int(payload[i]))
-    else:
-        ref.load_full(payload)
+    ref.load_full(payload)
     index = st.integers(0, depth - 1)
     value = st.integers(0, g.word_mask) | index.map(lambda i: int(payload[i]))
     # with many duplicate keys, at least one fault is planted
@@ -200,14 +222,16 @@ def test_compare_gives_the_dense_verdict(arch, depth, width, data):
     keys = np.array(data.draw(st.lists(key, max_size=max_keys), "keys"),
                     dtype=np.uint64)
     # a compare before the faults builds the reference's sorted index
-    verdict = equivalence_check(engine, ref, keys)
+    verdict = equivalence_check(engine.cam, ref, keys)
     assert (verdict.passed, verdict.first_divergence) == _dense_verdict(
         engine, ref, keys)
+    table = payload.copy()
     for kind, i, v in faults:
         if kind == "reference":
-            ref.update(i, v)
+            table[i] = v
         else:  # an engine write or erase without the matching erase
             engine.cam.apply_word(i, v, int(kind == "set"))
+    ref.load_full(table)
     # small budgets put chunk boundaries inside the key sample
     step = data.draw(st.sampled_from([None, 1, 3]), "keys per chunk")
     budget = data.draw(st.sampled_from([None, 1, 40]), "hit budget")
@@ -216,7 +240,7 @@ def test_compare_gives_the_dense_verdict(arch, depth, width, data):
             _COMPARE_BYTES=(oracle._COMPARE_BYTES if step is None
                             else 4 * step * depth // 32),
             _HIT_BUDGET=oracle._HIT_BUDGET if budget is None else budget):
-        verdict = equivalence_check(engine, ref, keys)
+        verdict = equivalence_check(engine.cam, ref, keys)
     assert (verdict.passed, verdict.first_divergence) == _dense_verdict(
         engine, ref, keys)
     assert verdict.keys_checked == keys.size
@@ -245,13 +269,13 @@ def test_a_table_of_one_word_keeps_chunks_within_the_hit_budget(monkeypatch):
     ref.load_full(payload)
     keys = np.full(1000, 0x5A, dtype=np.uint64)
     calls = _spy_hits(monkeypatch, ref)
-    assert equivalence_check(engine, ref, keys).passed
+    assert equivalence_check(engine.cam, ref, keys).passed
     # 1,000 copies of one key cost that key's N hits, not keys x N
     assert calls == [(1, g.depth_n)]
     # a budget below one key's hits still takes every copy of it at once
     monkeypatch.setattr(oracle, "_HIT_BUDGET", 10)
     calls.clear()
-    assert equivalence_check(engine, ref, keys[:4]).passed
+    assert equivalence_check(engine.cam, ref, keys[:4]).passed
     assert calls == [(1, g.depth_n)]
 
 
@@ -267,7 +291,7 @@ def test_hit_budget_counts_each_distinct_key_once(monkeypatch):
     monkeypatch.setattr(oracle, "_HIT_BUDGET", half)
     calls = _spy_hits(monkeypatch, ref)
     keys = np.array([0x5A, 0x5A, 0xA5, 0xA5, 0x5A, 0x11], dtype=np.uint64)
-    assert equivalence_check(engine, ref, keys).passed
+    assert equivalence_check(engine.cam, ref, keys).passed
     # in value order: 0x11 (no hits) and 0x5A, then 0xA5
     assert calls == [(2, half), (1, half)]
 
@@ -283,7 +307,7 @@ def test_each_distinct_key_is_searched_once(monkeypatch, arch):
     ref.load_full(payload)
     keys = search_keys(1, payload, g, 1000)
     calls = _spy_searches(monkeypatch, engine)
-    verdict = equivalence_check(engine, ref, keys)
+    verdict = equivalence_check(engine.cam, ref, keys)
     assert verdict.passed and verdict.keys_checked == 1000
     searched = [key for call in calls for key in call]
     assert len(searched) == 250
@@ -307,9 +331,10 @@ def test_the_earliest_diverging_key_wins_across_chunks(monkeypatch):
     # one distinct key per chunk
     monkeypatch.setattr(oracle, "_COMPARE_BYTES", 4 * g.depth_n // 32)
     calls = _spy_searches(monkeypatch, engine)
-    verdict = equivalence_check(engine, ref, keys)
+    verdict = equivalence_check(engine.cam, ref, keys)
+    # before the dense search below adds a call of its own
+    chunk_of = {key: n for n, call in enumerate(calls) for key in call}
+    assert chunk_of[late] < chunk_of[early]
     assert (verdict.passed, verdict.first_divergence) == _dense_verdict(
         engine, ref, keys)
     assert verdict.first_divergence == (early, 700)
-    chunk_of = {key: n for n, call in enumerate(calls) for key in call}
-    assert chunk_of[late] < chunk_of[early]

@@ -71,7 +71,7 @@ def test_short_and_long_files_are_distinct_errors(tmp_path):
         load_payload(short, g)
     long = tmp_path / "long.bin"
     long.write_bytes(b"\x00" * 2000)
-    with pytest.raises(PayloadError, match="too long"):
+    with pytest.raises(PayloadError, match="too long: more than 1024 bytes"):
         load_payload(long, g)
 
 

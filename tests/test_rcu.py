@@ -7,7 +7,7 @@ from rcam_sim.geometry import GeometryError, geometry_for
 from rcam_sim.oracle import ReferenceCam
 from rcam_sim.rcu import RcamArray
 
-from cam_helpers import column_occupancy
+from cam_helpers import column_occupancy, search
 
 
 def _array():
@@ -22,7 +22,7 @@ def test_single_cell_write_and_undo():
     arr = _array()
     arr.apply_word(227, 5, 1)  # an 8-bit word touches one cell
     assert np.count_nonzero(arr.cells) == 1
-    assert _hits(arr.search(5)) == [227]
+    assert _hits(search(arr, 5)) == [227]
     arr.apply_word(227, 5, 0)
     assert not arr.cells.any()
 
@@ -82,7 +82,7 @@ def test_managed_population_vs_linear_scan():
         arr.apply_word(word * 32, int(value), 1)
     for key in range(256):
         want = [32 * word for word, v in enumerate(stored) if v == key]
-        assert _hits(arr.search(key)) == want
+        assert _hits(search(arr, key)) == want
 
 
 def test_search_is_pure():
@@ -90,7 +90,7 @@ def test_search_is_pure():
     arr = RcamArray(g)
     arr.apply_full_table(np.arange(1024, dtype=np.uint64) * 17 % 65536, 1)
     before = arr.cells.copy()
-    arr.search(12345)
+    search(arr, 12345)
     arr.search_batch(np.arange(64, dtype=np.uint64))
     arr.slice_match(0, 99)
     assert np.array_equal(arr.cells, before)
@@ -103,7 +103,7 @@ def test_apply_word_hits_mapped_cell():
     arr.apply_word(227, 0xAB, 1)
     assert np.flatnonzero(arr.cells).tolist() == [3 * 256 + 0xAB]
     assert arr.cells[3, 0xAB] == 1 << 7
-    assert _hits(arr.search(0xAB)) == [227]
+    assert _hits(search(arr, 0xAB)) == [227]
 
 
 def test_shared_cells_all_land():
@@ -116,7 +116,7 @@ def test_shared_cells_all_land():
     arr.apply_full_table(payload, 1)
     assert (arr.cells[:, 0x42] == 0xFFFFFFFF).all()
     assert np.count_nonzero(arr.cells) == g.rcu_count
-    assert arr.search(0x4242).all()
+    assert search(arr, 0x4242).all()
     arr.apply_full_table(payload, 0)
     assert not arr.cells.any()
 
@@ -125,10 +125,10 @@ def test_and_combining_suppresses_partial_match():
     g = geometry_for("s2", 1024, 16)
     arr = RcamArray(g)
     arr.apply_word(10, 0x12AB, 1)
-    assert _hits(arr.search(0x12AB)) == [10]
+    assert _hits(search(arr, 0x12AB)) == [10]
     # same low byte, different high byte: no match anywhere
-    assert not arr.search(0x34AB).any()
-    assert not arr.search(0x12CD).any()
+    assert not search(arr, 0x34AB).any()
+    assert not search(arr, 0x12CD).any()
 
 
 def test_full_scan_matches_oracle_all_keys_w16():
@@ -161,7 +161,7 @@ def test_width_and_law():
             want = (payload >> np.uint64(8 * c)) & np.uint64(0xFF) == sub
             assert np.array_equal(per_slice, want)
             acc &= per_slice
-        assert np.array_equal(arr.search(key), acc)
+        assert np.array_equal(search(arr, key), acc)
 
 
 def test_column_occupancy_flags_skipped_erase():
@@ -175,7 +175,7 @@ def test_column_occupancy_flags_skipped_erase():
     assert column_occupancy(arr).max() == 2
     # the stale bit is a detectable false positive
     old_key = int(payload[40])
-    assert bool(arr.search(old_key)[40])
+    assert bool(search(arr, old_key)[40])
 
 
 @given(st.lists(st.tuples(st.integers(0, 1023), st.integers(0, 255),

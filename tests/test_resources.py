@@ -2,7 +2,7 @@ import pytest
 
 from rcam_sim.geometry import GeometryError
 from rcam_sim.resources import (DEVICE_M10K_BLOCKS, REFERENCE_PLACE_AND_ROUTE,
-                                m10k_report, memory_saving)
+                                m10k_report)
 
 STANDARD_GEOMETRIES = [(65536, 8), (32768, 16), (16384, 32), (8192, 64)]
 
@@ -36,17 +36,17 @@ def test_single_unit_costs_two_blocks():
 def test_tiny_s2_geometry():
     report = m10k_report((64, 8), "s2")
     assert report.rcu_blocks == 2 and report.erase_blocks == 1
-    s1 = m10k_report((64, 8), "s1")
-    assert memory_saving(report, s1) == pytest.approx(0.25)
+    assert report.saving_vs_s1 == pytest.approx(0.25)
+    assert m10k_report((64, 8), "s1").total_m10k == 4
 
 
 def test_flagship_saving():
     adv = m10k_report((65536, 8), "s2")
     s1 = m10k_report((65536, 8), "s1")
-    saving = memory_saving(adv, s1)
+    saving = adv.saving_vs_s1
     assert saving == pytest.approx(0.484375)
     assert abs(saving - 0.484) < 0.001  # matches the quoted 48.4%
-    assert adv.saving_vs_s1 == pytest.approx(saving)
+    assert saving == pytest.approx(1 - adv.total_m10k / s1.total_m10k)
     assert s1.saving_vs_s1 == 0.0
 
 
@@ -77,11 +77,6 @@ def test_divisibility_errors():
         m10k_report((64, 12), "s2")
     with pytest.raises(GeometryError):
         m10k_report((64, 8), "s9")
-
-
-def test_mismatched_saving_comparison_rejected():
-    with pytest.raises(GeometryError):
-        memory_saving(m10k_report((64, 8), "s2"), m10k_report((128, 8), "s1"))
 
 
 def test_reference_annotations_ride_along():
