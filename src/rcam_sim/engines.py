@@ -295,6 +295,15 @@ def cycle_total(geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
     return max(2 * g.erase_row_count, streamed + 1)
 
 
+def check_traceable(total: int) -> None:
+    """Refuse to record the events of an update of ``total`` cycles above
+    ``MAX_TRACE_CYCLES``."""
+    if total > MAX_TRACE_CYCLES:
+        raise EngineError(
+            f"a traced update may take at most {MAX_TRACE_CYCLES} cycles; "
+            f"this one takes {total}")
+
+
 def timing(geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
            prefetch_one_beat: bool = False,
            record_events: bool = False) -> UpdateTrace:
@@ -305,10 +314,8 @@ def timing(geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
     so are events for an update longer than ``MAX_TRACE_CYCLES``.
     """
     total = cycle_total(geometry, bus, prefetch_one_beat)
-    if record_events and total > MAX_TRACE_CYCLES:
-        raise EngineError(
-            f"a traced update may take at most {MAX_TRACE_CYCLES} cycles; "
-            f"this one takes {total}")
+    if record_events:
+        check_traceable(total)
     return _trace(geometry, total,
                   *_schedule(geometry, bus, prefetch_one_beat), record_events)
 

@@ -21,7 +21,7 @@ from ._version import __version__
 from .bus import BusModel, update_io_efficiency, update_throughput_gbps
 from .calibration import (DEFAULT_CALIBRATED_ETA, DEFAULT_CALIBRATED_OVERHEAD,
                           CalibrationResult)
-from .engines import RcamEngine, timing
+from .engines import RcamEngine, check_traceable, cycle_total, timing
 from .geometry import (ARCHITECTURES, CamGeometry, check_partitions,
                        geometry_for)
 from .oracle import ReferenceCam, equivalence_check
@@ -325,8 +325,14 @@ def run_experiment(config: ExperimentConfig,
     share N, W and the seed, so one payload, reference and key sample serve
     them all.  A payload file is read once, even when verification is off,
     so a bad one fails; a generated payload is made only for verification.
+    A trace too long to record, of any architecture, is refused before
+    anything is timed or written.
     """
     bus = config.bus()
+    if config.record_events:
+        # every trace is refused or written, never some of them
+        for arch in config.architectures:
+            check_traceable(cycle_total(config.geometries[arch], bus))
     verify = config.verify_oracle and config.key_count > 0
     shared = config.geometries[config.architectures[0]]
     if config.payload_path is not None:

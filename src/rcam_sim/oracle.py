@@ -2,6 +2,10 @@
 
 The reference holds a whole table, which ``load_full`` replaces: every
 update writes the whole table, so the reference is loaded once per update.
+``equivalence_check`` compares a CAM's packed slot masks with the
+reference's hit words, without unpacking or counting bits: one subtract
+scatter clears every hit's bit, and a key diverges when one of its hit bits
+was clear or when a bit is left over.
 """
 
 from __future__ import annotations
@@ -68,8 +72,9 @@ class ReferenceCam:
         first, end = self._spans(keys)
         counts = end - first
         # hit h of the chunk sits at sorted position h + first - (hits before)
-        shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
-        return counts, self._sorted[0][np.arange(counts.sum()) + shift]
+        at = np.repeat(first - (np.cumsum(counts) - counts), counts)
+        at += np.arange(at.size)
+        return counts, self._sorted[0].take(at)
 
     def _keys(self, keys) -> np.ndarray:
         if self.words is None:
@@ -128,9 +133,10 @@ def equivalence_check(system, reference: ReferenceCam, keys) -> EquivalenceResul
     distinct key is searched once on both sides, in sorted order and in
     chunks within ``_COMPARE_BYTES`` and ``_HIT_BUDGET``.  A key's masks
     equal its reference hits exactly when every hit word's (unit, slot) bit
-    is set and the masks hold no other bit.  The verdict carries the first
-    diverging (key, word index): the diverging key seen earliest in
-    ``keys``, then its smallest word.
+    is set and the masks hold no other bit.  ``match_masks`` must return a
+    new array, since the compare clears the hits' bits in it.  The verdict
+    carries the first diverging (key, word index): the diverging key seen
+    earliest in ``keys``, then its smallest word.
     """
     g = system.geometry
     if (g.depth_n, g.word_width_w) != (reference.depth_n, reference.word_width_w):
@@ -138,35 +144,65 @@ def equivalence_check(system, reference: ReferenceCam, keys) -> EquivalenceResul
             f"shape mismatch: system {g.depth_n}x{g.word_width_w}, "
             f"reference {reference.depth_n}x{reference.word_width_w}")
     keys = np.asarray(keys, dtype=np.uint64)
-    k = g.words_per_beat_k
-    units = g.rcb_count * k
     # return_index makes numpy sort stably; its default uint64 sort
     # loads SIMD code that adds 0.6 MB to a small verify run's peak RSS
     distinct, first = np.unique(keys, return_index=True)
     found = None  # (first position, key, word) of the earliest divergence
-    step = max(1, _COMPARE_BYTES // (4 * units))
+    step = max(1, _COMPARE_BYTES // (4 * g.rcb_count * g.words_per_beat_k))
     for at in _key_chunks(reference, distinct, step):
-        chunk = distinct[at]
-        got = system.match_masks(chunk)
-        if got.shape != (units, chunk.size):
-            raise ValueError(
-                f"match mask shape {got.shape}, expected {(units, chunk.size)}")
-        counts, words = reference.hits(chunk)
-        # each hit word's unit and slot bit, as map_word_index places it
-        q, pos = np.divmod(words, k)  # q = rcb * RCU_SLOTS + slot
-        bit = np.left_shift(np.uint32(1), (q % RCU_SLOTS).astype(np.uint32))
-        column = np.repeat(np.arange(chunk.size), counts)
-        diverged = np.bitwise_count(got).sum(axis=0) != counts
-        diverged[column[got[q // RCU_SLOTS * k + pos, column] & bit == 0]] = True
-        if not diverged.any():
-            continue
-        i = np.flatnonzero(diverged)[first[at][diverged].argmin()]
-        if found is None or first[at][i] < found[0]:
-            # the one diverging key's engine matches in word order, with
-            # the reference's hits flipped
-            diff = np.unpackbits(got[:, i].astype("<u4").view(np.uint8),
-                                 bitorder="little")
-            diff = diff.reshape(-1, k, RCU_SLOTS).transpose(0, 2, 1).ravel()
-            diff[words[column == i]] ^= 1
-            found = (first[at][i], int(chunk[i]), int(diff.argmax()))
+        seen = _chunk_divergence(system, reference, distinct[at], first[at])
+        if seen is not None and (found is None or seen[0] < found[0]):
+            found = seen
     return EquivalenceResult(found is None, keys.size, found and found[1:])
+
+
+def _chunk_divergence(system, reference: ReferenceCam, chunk: np.ndarray,
+                      first: np.ndarray):
+    """(first position, key, word) of the chunk's diverging key that comes
+    earliest in the sample, with its smallest diverging word, or None.
+
+    Each hit's bit is cleared from the system's masks: a key diverges when
+    one of its hit bits was clear, or a bit is left over.  Every temporary
+    dies on return, so no more than one chunk's masks and hits are alive at
+    once.
+    """
+    g = system.geometry
+    k = g.words_per_beat_k
+    got = system.match_masks(chunk)
+    if got.shape != (g.rcb_count * k, chunk.size):
+        raise ValueError(f"match mask shape {got.shape}, expected "
+                         f"{(g.rcb_count * k, chunk.size)}")
+    counts, words = reference.hits(chunk)
+    # Each hit word's slot bit and unit row, rcb * k + pos, as map_word_index
+    # places them.  numpy divides by a scalar fast but takes remainders
+    # slowly, and a fresh temporary costs more than the arithmetic, so the
+    # remainders are a mask (RCU_SLOTS is a power of two, words >= 0) and a
+    # subtraction, and the flat index into ``got`` is built in place.
+    q = words // k  # rcb * RCU_SLOTS + slot
+    bit = (q & (RCU_SLOTS - 1)).astype(np.uint32)
+    np.left_shift(np.uint32(1), bit, out=bit)
+    column = np.repeat(np.arange(chunk.size), counts)
+    cell = q // RCU_SLOTS  # rcb
+    cell -= q
+    cell *= k
+    cell += words  # words - (q - rcb) * k = rcb * k + pos
+    cell *= chunk.size
+    cell += column
+    flat = got.reshape(-1)  # a view: match_masks returns a new C array
+    # A key's hit words are distinct, so each (unit, bit) of a column is
+    # subtracted at most once, and only when it was set.
+    held = flat.take(cell)
+    held &= bit
+    np.subtract.at(flat, cell, held)
+    missed = held == 0
+    diverged = np.bitwise_or.reduce(got, axis=0) != 0
+    diverged[column[missed]] = True
+    if not diverged.any():
+        return None
+    i = np.flatnonzero(diverged)[first[diverged].argmin()]
+    # the key's extra matches in word order, plus its missed hits
+    diff = np.unpackbits(got[:, i].astype("<u4").view(np.uint8),
+                         bitorder="little")
+    diff = diff.reshape(-1, k, RCU_SLOTS).transpose(0, 2, 1).ravel()
+    diff[words[missed & (column == i)]] = 1
+    return first[i], int(chunk[i]), int(diff.argmax())

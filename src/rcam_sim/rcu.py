@@ -9,11 +9,14 @@ port sets or clears a single cell; searching reads a whole row and yields a
 RCU row-packed in one numpy array (row value -> 32-bit slot mask).  Erase and
 write are the same port operation with a different bit, so one private
 primitive, ``RcamArray._apply``, does every cell write: for a whole table
-(:meth:`RcamArray.apply_full_table`, the engine's erase and write passes) and
-for one word (``apply_word``).  A search ANDs the slices' packed slot masks
-(:meth:`RcamArray.match_masks`).  ``oracle.equivalence_check`` takes the
-array itself and compares in that packed layout; only ``search_batch`` and
-``slice_match`` unpack to word order.
+(:meth:`RcamArray.apply_full_table`, the engine's erase and write passes, in
+blocks of ``_BLOCK_WORDS`` words) and for one word (``apply_word``).  It is
+an exact add/subtract scatter: it gathers the cells' current bits, then adds
+the slot bits still clear, or subtracts those still set.  A search ANDs the
+slices' packed slot masks (:meth:`RcamArray.match_masks`).
+``oracle.equivalence_check`` takes the array itself and compares in that
+packed layout; only ``search_batch`` and ``slice_match`` unpack to word
+order.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ from .geometry import (RCU_ROWS, RCU_SLOTS, SUB_WORD_BITS, CamGeometry,
                        map_word_index)
 
 _SLOT_MASKS = np.uint32(1) << np.arange(RCU_SLOTS, dtype=np.uint32)
+# Words per ``apply_full_table`` block: the scatter's index, mask and gather
+# temporaries (about 35 bytes a word) stay near 1 MB, in cache, for any N.
+_BLOCK_WORDS = 1 << 15
 
 
 class RcamArray:
@@ -40,20 +46,33 @@ class RcamArray:
 
     # -- erase/write -----------------------------------------------------------
 
-    def _apply(self, units, masks, values, bit: int) -> None:
+    def _apply(self, cells, base, masks, values, bit: int) -> None:
         """Set (bit=1) or clear (bit=0) one cell per word and byte slice.
 
-        ``units`` (intp, so adding a uint8 row cannot wrap), ``masks`` (32-bit
-        slot masks) and ``values`` broadcast, one per word.  ``ufunc.at`` is
-        unbuffered, so words that share a cell all land.
+        ``cells`` is a run of whole units of the grid.  ``base`` (intp: the
+        flat index in ``cells`` of each word's row 0 of slice 0), ``masks``
+        (32-bit one-hot slot masks) and ``values`` are 1-D, one per word:
+        only then does ``ufunc.at`` take its fast loop.
+
+        Premise: within one call, words that share a cell touch distinct slot
+        bits.  A whole table holds each (unit, slot) once, and ``apply_word``
+        writes one word.  With ``held`` the cells' bits before the call, an
+        unbuffered ``np.add.at`` of ``masks & ~held`` then equals the OR, and
+        ``np.subtract.at`` of ``masks & held`` the AND-NOT, whatever the grid
+        held.  numpy has fast indexed loops for ``add.at`` and
+        ``subtract.at``, but none for the bitwise ufuncs.
         """
-        g = self.geometry
-        flat = self.cells.reshape(-1)
-        base = units * (g.slices * RCU_ROWS)
-        op, masks = (np.bitwise_or, masks) if bit else (np.bitwise_and, ~masks)
-        for c in range(g.slices):
+        flat = cells.reshape(-1)
+        for c in range(self.geometry.slices):
             rows = (values >> np.uint64(SUB_WORD_BITS * c)).astype(np.uint8)
-            op.at(flat, base + c * RCU_ROWS + rows, masks)
+            idx = base + rows
+            if c:
+                idx += c * RCU_ROWS
+            held = flat[idx]
+            if bit:
+                np.invert(held, out=held)  # the bits still clear
+            held &= masks
+            (np.add if bit else np.subtract).at(flat, idx, held)
 
     def apply_full_table(self, values: np.ndarray, bit: int) -> None:
         """Set (bit=1) or clear (bit=0) the cell of every word in the table.
@@ -62,14 +81,28 @@ class RcamArray:
         """
         g = self.geometry
         k = g.words_per_beat_k
-        self._apply(np.arange(g.rcb_count * k).reshape(g.rcb_count, 1, k),
-                    _SLOT_MASKS[None, :, None],
-                    values.reshape(g.rcb_count, RCU_SLOTS, k), bit)
+        values = values.reshape(g.depth_n)
+        # Each block is whole RCBs: its words and its rows of the grid.
+        rcbs = min(g.rcb_count, max(1, _BLOCK_WORDS // (RCU_SLOTS * k)))
+        words, span = rcbs * RCU_SLOTS * k, rcbs * k * g.slices
+        # Word v of a block is (rcb, slot, position) in (rcbs, RCU_SLOTS, k)
+        # order: its first cell in the block's rows, and its slot mask.
+        shape = (rcbs, RCU_SLOTS, k)
+        base = np.broadcast_to(np.arange(rcbs * k).reshape(rcbs, 1, k)
+                               * (g.slices * RCU_ROWS), shape).ravel()
+        masks = np.broadcast_to(_SLOT_MASKS[:, None], shape).ravel()
+        for b, start in enumerate(range(0, g.depth_n, words)):
+            block = values[start:start + words]
+            self._apply(self.cells[b * span:(b + 1) * span],
+                        base[:block.size], masks[:block.size], block, bit)
 
     def apply_word(self, word: int, value: int, bit: int) -> None:
-        rcb, slot, pos = map_word_index(self.geometry, word)
-        self._apply(np.intp(rcb * self.geometry.words_per_beat_k + pos),
-                    _SLOT_MASKS[slot], np.uint64(value), bit)
+        g = self.geometry
+        rcb, slot, pos = map_word_index(g, word)
+        unit = rcb * g.words_per_beat_k + pos
+        self._apply(self.cells[unit * g.slices:(unit + 1) * g.slices],
+                    np.zeros(1, dtype=np.intp), _SLOT_MASKS[slot:slot + 1],
+                    np.array([value], dtype=np.uint64), bit)
 
     # -- search ----------------------------------------------------------------
 
@@ -86,7 +119,8 @@ class RcamArray:
         return self._unpack(self.match_masks(keys))
 
     def match_masks(self, keys: np.ndarray) -> np.ndarray:
-        """Packed search results: (rcb*k, len(keys)) uint32 slot masks.
+        """Packed search results: (rcb*k, len(keys)) uint32 slot masks, in a
+        new C-ordered array that the caller owns and may change.
 
         Bit ``slot`` of ``masks[unit, i]`` is set when the word at
         ``(rcb, slot, pos)``, ``unit = rcb * k + pos``, matches ``keys[i]``.

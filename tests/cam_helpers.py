@@ -18,6 +18,25 @@ def column_occupancy(cam) -> np.ndarray:
     return bits.sum(axis=1, dtype=np.int64)
 
 
+def apply_words(geometry, cells: np.ndarray, words, bit: int) -> np.ndarray:
+    """A copy of RCU ``cells`` after setting (bit=1) or clearing (bit=0) the
+    cell bit of each (word index, value) of ``words``, one word and byte
+    slice at a time with Python ints: the per-word OR and AND-NOT that
+    ``RcamArray``'s scatter must equal."""
+    out = cells.copy()
+    k = geometry.words_per_beat_k
+    for word, value in words:
+        rcb, rem = divmod(word, RCU_SLOTS * k)
+        slot, pos = divmod(rem, k)
+        for c in range(geometry.slices):
+            rcu = (rcb * k + pos) * geometry.slices + c
+            row = (value >> (8 * c)) & 0xFF
+            held = int(out[rcu, row])
+            out[rcu, row] = (held | 1 << slot if bit
+                             else held & ~(1 << slot) & 0xFFFFFFFF)
+    return out
+
+
 def search(cam, key: int) -> np.ndarray:
     """Length-N boolean match vector of an ``RcamArray`` for one key."""
     return cam.search_batch(np.asarray([key], dtype=np.uint64))[0]

@@ -308,6 +308,19 @@ def test_traces_too_long_to_hold_are_refused(tmp_path, arch, flags, cycles):
     assert not trace.exists()
 
 
+def test_a_refused_trace_writes_no_trace_of_any_architecture(tmp_path):
+    # s1's trace fits the bound and s2's does not: s1's must not be written
+    done = _fresh_cli(["run", "--arch", "all", "--depth", "524288",
+                       "--width", "8", "--bus", "calibrated", "--eta", "0.001",
+                       "--no-verify", "--trace",
+                       str(tmp_path / "t_{arch}.jsonl")])
+    assert done.returncode == 1
+    assert done.stderr == ("error: a traced update may take at most 8388608 "
+                           "cycles; this one takes 16400384\n")
+    assert done.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero")
 def test_an_endless_payload_file_is_refused():
     # a fresh, capped process: reading the whole file would never end

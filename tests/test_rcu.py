@@ -1,13 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcam_sim.geometry import GeometryError, geometry_for
+from rcam_sim import rcu
+from rcam_sim.geometry import ARCHITECTURES, GeometryError, geometry_for
 from rcam_sim.oracle import ReferenceCam
 from rcam_sim.rcu import RcamArray
 
-from cam_helpers import column_occupancy, search
+from cam_helpers import apply_words, column_occupancy, search
 
 
 def _array():
@@ -185,3 +188,44 @@ def test_write_replay_property(ops):
     arr, cells = _replay(ops)
     for (word, value), bit in cells.items():
         assert arr.slice_match(0, value)[word] == bit
+
+
+@given(arch=st.sampled_from(ARCHITECTURES),
+       depth=st.sampled_from([1024, 2048]),
+       width=st.sampled_from([8, 16, 32, 64]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       fill=st.sampled_from(["clear", "set", "random", "sparse"]),
+       distinct=st.sampled_from([1, 3, None]),
+       bit=st.integers(0, 1),
+       block=st.sampled_from([1, 256, rcu._BLOCK_WORDS]))
+@settings(max_examples=40, deadline=None)
+def test_scatter_matches_the_per_word_model(arch, depth, width, seed, fill,
+                                            distinct, bit, block):
+    # Any grid state: writes land on set bits and erases on clear ones, and
+    # with few distinct values many equal words share one cell.  Small
+    # blocks split these tables the way larger ones are split.
+    g = geometry_for(arch, depth, width)
+    rng = np.random.default_rng(seed)
+    shape = (g.rcu_count, 256)
+    cells = {"clear": np.zeros(shape, dtype=np.uint32),
+             "set": np.full(shape, 0xFFFFFFFF, dtype=np.uint32),
+             "random": rng.integers(0, 1 << 32, shape, dtype=np.uint32),
+             "sparse": (rng.integers(0, 1 << 32, shape, dtype=np.uint32)
+                        & rng.integers(0, 1 << 32, shape, dtype=np.uint32)
+                        & rng.integers(0, 1 << 32, shape, dtype=np.uint32))
+             }[fill]
+    values = rng.integers(0, g.word_mask, depth, dtype=np.uint64,
+                          endpoint=True)
+    if distinct is not None:
+        values = rng.choice(values[:distinct], depth)
+    arr = RcamArray(g)
+    arr.cells[:] = cells
+    with mock.patch.object(rcu, "_BLOCK_WORDS", block):
+        arr.apply_full_table(values, bit)
+    want = apply_words(g, cells, enumerate(map(int, values)), bit)
+    assert np.array_equal(arr.cells, want)
+    for word in map(int, rng.integers(0, depth, 4)):
+        value = int(values[rng.integers(depth)])
+        arr.apply_word(word, value, bit)
+        want = apply_words(g, want, [(word, value)], bit)
+        assert np.array_equal(arr.cells, want)
