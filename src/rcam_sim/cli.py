@@ -183,8 +183,9 @@ def _cmd_verify(args) -> int:
         raise ConfigError("seed must be a 64-bit unsigned value")
     if args.iterations < 0:
         raise ConfigError("iterations must be >= 0")
-    if args.keys < 0:
-        raise ConfigError("keys must be >= 0")
+    # with no key no iteration compares anything, yet each would print ok
+    if args.keys < 1:
+        raise ConfigError("keys must be >= 1")
     if args.keys > MAX_KEY_COUNT:
         raise ConfigError(f"keys must be <= {MAX_KEY_COUNT}")
     depths = (1024, 2048, 4096)

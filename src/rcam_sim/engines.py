@@ -23,7 +23,9 @@ only a geometry.  Its ``update`` first takes ``timing`` on the ideal bus of
 the geometry's width, so that a schedule it refuses leaves the CAM as it
 was.  It then checks the payload, runs the erase pass over the old table,
 the erase-store swap, the optional ``after_erase`` probe (refused for s1)
-and the write pass, and returns that ideal-bus trace, without events.
+and the write pass, and returns that ideal-bus trace, without events.  A
+CAM never written holds no bit, so its first update skips the erase pass,
+which subtracts only bits that are set and would change no cell.
 ``update_word``, s1's single-word erase/write pair, changes the memory alone
 and returns nothing.
 
@@ -226,13 +228,17 @@ class RcamEngine:
         self.geometry = geometry
         self.cam = RcamArray(geometry)
         self.eram = EraseStore(geometry)
+        # Set when the first write begins; until then the grid holds no bit.
+        self._written = False
 
     def update(self, payload, probe: Callable | None = None) -> UpdateTrace:
         """Run one full-table update; return its ideal-bus trace.
 
         The schedule is taken first, so that one it refuses leaves the CAM
-        as it was.  ``probe("after_erase", engine)`` runs between the passes;
-        it is the only place a search of ``engine.cam`` may run mid-update.
+        as it was.  The erase pass is skipped until the CAM is first
+        written: a clear grid has no bit to clear.  ``probe("after_erase",
+        engine)`` runs between the passes; it is the only place a search of
+        ``engine.cam`` may run mid-update.
         """
         g = self.geometry
         # s1 erases and writes word by word, so no all-erased state exists
@@ -241,10 +247,12 @@ class RcamEngine:
             raise EngineError("s1 has no all-erased state to probe")
         trace = timing(g, ideal_bus(g.bus_width_b))
         payload = _as_payload(g, payload)
-        self.cam.apply_full_table(self.eram.stored_words(), 0)  # erase pass
+        if self._written:  # erase pass
+            self.cam.apply_full_table(self.eram.stored_words(), 0)
         self.eram.store_words(payload)
         if probe is not None:
             probe("after_erase", self)
+        self._written = True
         self.cam.apply_full_table(payload, 1)  # write pass
         return trace
 
@@ -259,6 +267,7 @@ class RcamEngine:
             raise EngineError(f"value does not fit {g.word_width_w} bits")
         self.cam.apply_word(index, int(self.eram.words[index]), 0)
         self.eram.words[index] = value
+        self._written = True
         self.cam.apply_word(index, value, 1)
 
 

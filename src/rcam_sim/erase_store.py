@@ -14,10 +14,12 @@ reshape differs, and the reshape is set by the word map of
   g holds the k = P*B/W words of word group g, beat b in partition b % P.
 
 So one store serves all three: :class:`EraseStore` keeps the N words in
-global word order.  It starts zeroed; the first-ever erase pass runs
-unconditionally and erasing value 0 from an all-zero RCU is a no-op, so no
-validity flags exist.  Dual-port read-before-write is realized by call
-order: engines read the old words before storing the new ones.
+global word order.  It starts zeroed and has no validity flags: the engine
+skips the erase pass until its CAM is first written, and after that an
+entry never written is 0, whose erase clears no bit, because the erase
+subtracts only the bits it finds set.  Dual-port read-before-write is
+realized by call order: engines read the old words before storing the new
+ones.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ of at most 4,096 words.
 
 from __future__ import annotations
 
-from rcam_sim.bus import BusModel
+from rcam_sim.bus import BusModel, ideal_bus
 
 
 class _DemandBus:
@@ -133,3 +133,14 @@ def step(g, bus: BusModel, prefetch: bool = False) -> dict:
             "bus_read_cycles": sum(kind == "beat" for _, kind, _ in events),
             "erase_span": span("erase", "erase_row"),
             "write_span": span("write", "write_row")}
+
+
+def stepped_summary(g, bus: BusModel, prefetch: bool = False):
+    """The stepped update as ``UpdateTrace.summary()`` gives it, its stall
+    cycles counted against the stepped ideal bus, and its events."""
+    stepped = step(g, bus, prefetch)
+    ideal = step(g, ideal_bus(g.bus_width_b), prefetch)["total_cycles"]
+    summary = {k: list(v) if k.endswith("_span") else v
+               for k, v in stepped.items() if k != "events"}
+    summary["stall_cycles"] = stepped["total_cycles"] - ideal
+    return summary, stepped["events"]

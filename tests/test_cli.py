@@ -258,8 +258,10 @@ def test_verify_catches_a_cam_that_never_matches(monkeypatch, capsys):
     (["--seed", "-1"], "seed must be a 64-bit unsigned value"),
     (["--seed", str(2 ** 64)], "seed must be a 64-bit unsigned value"),
     (["--iterations", "-3"], "iterations must be >= 0"),
-    (["--keys", "-5"], "keys must be >= 0"),
-], ids=["negative-seed", "seed-2**64", "negative-iterations", "negative-keys"])
+    (["--keys", "-5"], "keys must be >= 1"),
+    (["--keys", "0"], "keys must be >= 1"),
+], ids=["negative-seed", "seed-2**64", "negative-iterations", "negative-keys",
+        "zero-keys"])
 def test_verify_rejects_out_of_range_inputs(capsys, flags, message):
     assert main(["verify", *flags]) == 1
     captured = capsys.readouterr()

@@ -7,7 +7,7 @@ from rcam_sim.engines import timing
 from rcam_sim.geometry import geometry_for
 
 from cam_helpers import event_tuples
-from cycle_stepper import step
+from cycle_stepper import step, stepped_summary
 
 # (depth, width, bus width): s3 gets P = 1, 4, 4, 8 and 8 here
 TABLES = [(1024, 8, 256), (2048, 16, 256), (4096, 8, 256), (4096, 64, 256),
@@ -25,15 +25,12 @@ VARIANTS = [("s1", False), ("s1", True), ("s2", False), ("s3", False)]
 def test_timing_matches_the_stepper(arch, prefetch, knobs, depth, width,
                                     bus_width):
     g = geometry_for(arch, depth, width, bus_width)
-    ideal = ideal_bus(bus_width)
-    bus = ideal if knobs is None else calibrated_bus(*knobs, bus_width)
+    bus = (ideal_bus(bus_width) if knobs is None
+           else calibrated_bus(*knobs, bus_width))
     trace = timing(g, bus, prefetch, record_events=True)
-    stepped = step(g, bus, prefetch)
-    expected = {**stepped, "stall_cycles": stepped["total_cycles"]
-                - step(g, ideal, prefetch)["total_cycles"]}
-    assert trace.summary() == {k: list(v) if k.endswith("_span") else v
-                               for k, v in expected.items() if k != "events"}
-    assert event_tuples(trace.events) == stepped["events"]
+    summary, events = stepped_summary(g, bus, prefetch)
+    assert trace.summary() == summary
+    assert event_tuples(trace.events) == events
 
 
 def test_the_stepper_gives_the_reported_figures():

@@ -14,8 +14,9 @@ from rcam_sim.geometry import (ARCHITECTURES, MAX_DEPTH, RCU_SLOTS,
                                CamGeometry, geometry_for)
 from rcam_sim.oracle import ReferenceCam, equivalence_check
 from rcam_sim.payload import generate_payload
+from rcam_sim.rcu import RcamArray
 
-from cam_helpers import column_occupancy, event_tuples, search
+from cam_helpers import apply_words, column_occupancy, event_tuples, search
 
 GRID = [(1024, 8), (1024, 64), (2048, 16), (4096, 8), (4096, 32), (8192, 64)]
 
@@ -227,6 +228,85 @@ def test_consecutive_updates_same_shape():
     t2 = engine.update(generate_payload(22, g))
     assert t1.summary() == t2.summary()
     assert t1.events is None and t2.events is None
+
+
+# -- the first update writes a clear grid -------------------------------------
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_first_update_sets_exactly_the_tables_bits(arch):
+    # a fresh engine skips its erase pass; the grid must still hold exactly
+    # the per-word model's bits of the table
+    g = geometry_for(arch, 1024, 16)
+    engine = RcamEngine(g)
+    payload = generate_payload(3, g)
+    engine.update(payload)
+    expected = apply_words(g, np.zeros_like(engine.cam.cells),
+                           enumerate(payload.tolist()), 1)
+    np.testing.assert_array_equal(engine.cam.cells, expected)
+
+
+def test_a_single_word_write_marks_the_engine_written():
+    # the word written into a fresh engine must be erased by the next full
+    # update, so that update must run its erase pass
+    g = geometry_for("s1", 1024, 16)
+    engine = RcamEngine(g)
+    payload = generate_payload(4, g)
+    stale = (int(payload[100]) + 1) & g.word_mask
+    engine.update_word(100, stale)
+    engine.update(payload)
+    assert not search(engine.cam, stale)[100]
+    ref = ReferenceCam(1024, 16)
+    ref.load_full(payload)
+    keys = np.array([stale, payload[100]], dtype=np.uint64)
+    assert equivalence_check(engine.cam, ref, keys).passed
+
+
+@pytest.mark.parametrize("written", [False, True], ids=["fresh", "written"])
+@pytest.mark.parametrize("arch", ["s2", "s3"])
+def test_a_probe_that_raises_leaves_a_usable_engine(arch, written):
+    g = geometry_for(arch, 2048, 16)
+    engine = RcamEngine(g)
+    if written:
+        engine.update(generate_payload(5, g))
+
+    def probe(stage, eng):
+        raise RuntimeError("probe failed")
+
+    with pytest.raises(RuntimeError, match="probe failed"):
+        engine.update(generate_payload(6, g), probe=probe)
+    payload = generate_payload(7, g)
+    engine.update(payload)
+    ref = ReferenceCam(2048, 16)
+    ref.load_full(payload)
+    keys = np.concatenate([payload[:200], generate_payload(5, g)[:200],
+                           generate_payload(6, g)[:200]])
+    verdict = equivalence_check(engine.cam, ref, keys)
+    assert verdict.passed, verdict.first_divergence
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_only_a_written_cam_runs_the_erase_pass(arch, monkeypatch):
+    passes = []
+    apply_full_table = RcamArray.apply_full_table
+
+    def counted(self, words, bit):
+        passes.append(bit)
+        return apply_full_table(self, words, bit)
+
+    monkeypatch.setattr(RcamArray, "apply_full_table", counted)
+    g = geometry_for(arch, 1024, 8)
+    engine = RcamEngine(g)
+    engine.update(generate_payload(1, g))
+    assert passes == [1]  # the write pass alone
+    for seed in (2, 3):
+        engine.update(generate_payload(seed, g))
+    assert passes == [1, 0, 1, 0, 1]
+    if arch == "s1":
+        fresh = RcamEngine(g)
+        fresh.update_word(0, 1)
+        passes.clear()
+        fresh.update(generate_payload(4, g))
+        assert passes == [0, 1]
 
 
 # -- event-level invariants ---------------------------------------------------

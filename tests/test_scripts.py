@@ -1,4 +1,4 @@
-"""Smoke tests of the two experiment scripts under ``scripts/``."""
+"""Smoke tests of the scripts under ``scripts/``."""
 
 import csv
 import hashlib
@@ -91,3 +91,17 @@ def test_bench_pairs_alternates_and_summarises():
     assert summary["peak_rss_mb"]["change_wins"] == "0/5"
     higher = script.summarise(records, {"peak_rss_mb": "higher"})
     assert higher["peak_rss_mb"]["change_wins"] == "3/5"
+
+
+def test_bench_pairs_outside_measures_each_tree():
+    # real fresh processes on this checkout, at a small depth
+    script = _load("bench_pairs")
+    result = script.outside(SCRIPTS.parent, 3, large_depth=4096,
+                            flagship_depth=4096, ops=3)
+    metrics = result["metrics"]
+    assert result["failed"] == 0
+    assert list(metrics) == list(script.OUTSIDE_METRICS)
+    assert 0 < metrics["large_run_wall_s"]["value"] < 60
+    assert 1 < metrics["large_run_peak_rss_mb"]["value"] < 1024
+    assert metrics["flagship_op_ms"]["value"] > 0
+    assert metrics["flagship_minflt_per_op"]["value"] >= 0
