@@ -7,7 +7,11 @@
         --seed K --out BENCH_<pr>.json
 
 Exports the tree of git revision REV into a temporary directory (with
-``git archive``, so the repository gains no worktree entry) and runs
+``git archive``, so the repository gains no worktree entry) and replaces
+its ``perfbench/`` and ``BENCHMARK.json`` with this checkout's (without
+``perfbench/out/``), so that both sides run one harness and differ only in
+``src/``.  The trade-off: a harness that calls API the parent lacks fails
+on the parent side.  It then runs
 ``perfbench/run.py --workload NAME --seed K --seconds S --trace 0`` there
 and in this checkout, N pairs of runs: the parent goes first in odd pairs
 and the change in even ones.  Each run's result line (the JSON line
@@ -37,6 +41,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -70,6 +75,19 @@ for _ in range(int(sys.argv[3])):
 print(json.dumps({"op_ms": 1e3 * statistics.median(wall),
                   "minflt": statistics.median(faults)}))
 """
+
+
+def export_parent(root: Path, rev: str, dest: Path) -> None:
+    """Write the tree of ``rev`` of the repository at ``root`` to ``dest``,
+    with ``root``'s ``perfbench/`` (without ``out/``) and ``BENCHMARK.json``
+    in place of the revision's."""
+    archive = subprocess.run(["git", "archive", rev], cwd=root,
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    shutil.rmtree(dest / "perfbench", ignore_errors=True)
+    shutil.copytree(root / "perfbench", dest / "perfbench",
+                    ignore=shutil.ignore_patterns("out", "__pycache__"))
+    shutil.copyfile(root / "BENCHMARK.json", dest / "BENCHMARK.json")
 
 
 def run_pairs(workload: str, seed: int, pairs: int, run) -> list[dict]:
@@ -177,9 +195,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
-        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", parent], input=archive, check=True)
+        export_parent(ROOT, args.parent, Path(parent))
         trees = {"parent": Path(parent), "change": ROOT}
         if args.outside:
             records = run_pairs("outside", args.seed, args.pairs,

@@ -9,7 +9,7 @@ from .engines import RcamEngine, UpdateTrace
 from .erase_store import EraseStore
 from .experiment import (EfficiencyReport, ExperimentConfig, emit_report,
                          run_experiment, run_sweep)
-from .geometry import CamGeometry, GeometryError, geometry_for, map_word_index
+from .geometry import CamGeometry, GeometryError, geometry_for
 from .oracle import EquivalenceResult, ReferenceCam, equivalence_check
 from .payload import generate_payload, load_payload, save_payload
 from .rcu import RcamArray
@@ -26,7 +26,6 @@ __all__ = [
     "EfficiencyReport", "ExperimentConfig", "emit_report",
     "run_experiment", "run_sweep",
     "CamGeometry", "GeometryError", "geometry_for",
-    "map_word_index",
     "EquivalenceResult", "ReferenceCam", "equivalence_check",
     "generate_payload", "load_payload", "save_payload",
     "RcamArray",

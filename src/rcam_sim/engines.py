@@ -22,12 +22,10 @@ One :class:`RcamEngine` models the memory of every architecture and takes
 only a geometry.  Its ``update`` first takes ``timing`` on the ideal bus of
 the geometry's width, so that a schedule it refuses leaves the CAM as it
 was.  It then checks the payload, runs the erase pass over the old table,
-the erase-store swap, the optional ``after_erase`` probe (refused for s1)
-and the write pass, and returns that ideal-bus trace, without events.  A
-CAM never written holds no bit, so its first update skips the erase pass,
-which subtracts only bits that are set and would change no cell.
-``update_word``, s1's single-word erase/write pair, changes the memory alone
-and returns nothing.
+the erase-store swap and the write pass, and returns that ideal-bus trace,
+without events.  A CAM never written holds no bit, so its first update
+skips the erase pass, which subtracts only bits that are set and would
+change no cell.
 
 The sorted (cycle, rank, arg) arrays are the trace's only event record.
 :class:`EventColumns` holds them as read-only columns and writes them as
@@ -66,7 +64,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -231,44 +228,22 @@ class RcamEngine:
         # Set when the first write begins; until then the grid holds no bit.
         self._written = False
 
-    def update(self, payload, probe: Callable | None = None) -> UpdateTrace:
+    def update(self, payload) -> UpdateTrace:
         """Run one full-table update; return its ideal-bus trace.
 
         The schedule is taken first, so that one it refuses leaves the CAM
         as it was.  The erase pass is skipped until the CAM is first
-        written: a clear grid has no bit to clear.  ``probe("after_erase",
-        engine)`` runs between the passes; it is the only place a search of
-        ``engine.cam`` may run mid-update.
+        written: a clear grid has no bit to clear.
         """
         g = self.geometry
-        # s1 erases and writes word by word, so no all-erased state exists
-        # for a probe to observe.
-        if probe is not None and g.architecture == "s1":
-            raise EngineError("s1 has no all-erased state to probe")
         trace = timing(g, ideal_bus(g.bus_width_b))
         payload = _as_payload(g, payload)
         if self._written:  # erase pass
             self.cam.apply_full_table(self.eram.stored_words(), 0)
         self.eram.store_words(payload)
-        if probe is not None:
-            probe("after_erase", self)
         self._written = True
         self.cam.apply_full_table(payload, 1)  # write pass
         return trace
-
-    def update_word(self, index: int, value: int) -> None:
-        """s1 incremental single-word update: one erase/write pair."""
-        g = self.geometry
-        if g.architecture != "s1":
-            raise EngineError(f"{g.architecture} has no single-word update")
-        if not 0 <= index < g.depth_n:
-            raise EngineError(f"word index {index} out of range")
-        if not 0 <= value <= g.word_mask:
-            raise EngineError(f"value does not fit {g.word_width_w} bits")
-        self.cam.apply_word(index, int(self.eram.words[index]), 0)
-        self.eram.words[index] = value
-        self._written = True
-        self.cam.apply_word(index, value, 1)
 
 
 # The benchmark's tracer (perfbench/tracing.py) wraps ``update`` under these

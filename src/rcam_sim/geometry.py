@@ -1,4 +1,4 @@
-"""Structural parameters of a RAM-based binary CAM and its index arithmetic.
+"""Structural parameters of a RAM-based binary CAM and its word placement.
 
 A CAM of ``depth_n`` words by ``word_width_w`` bits is built from RCUs (RAM
 CAM units): dual-port block RAMs whose write port sees 8,192x1 bits and whose
@@ -181,14 +181,3 @@ def geometry_for(architecture: str, depth_n: int, word_width_w: int,
         partitions_p = 1
     return CamGeometry(architecture, depth_n, word_width_w, bus_width_b,
                        partitions_p)
-
-
-def map_word_index(geometry: CamGeometry, word: int) -> tuple[int, int, int]:
-    """Global word index -> (rcb, slot j, position i)."""
-    if not 0 <= word < geometry.depth_n:
-        raise GeometryError(
-            f"word index {word} out of range [0, {geometry.depth_n})")
-    group = RCU_SLOTS * geometry.words_per_beat_k
-    rcb, rem = divmod(word, group)
-    j, i = divmod(rem, geometry.words_per_beat_k)
-    return rcb, j, i

@@ -173,11 +173,12 @@ def _chunk_divergence(system, reference: ReferenceCam, chunk: np.ndarray,
         raise ValueError(f"match mask shape {got.shape}, expected "
                          f"{(g.rcb_count * k, chunk.size)}")
     counts, words = reference.hits(chunk)
-    # Each hit word's slot bit and unit row, rcb * k + pos, as map_word_index
-    # places them.  numpy divides by a scalar fast but takes remainders
-    # slowly, and a fresh temporary costs more than the arithmetic, so the
-    # remainders are a mask (RCU_SLOTS is a power of two, words >= 0) and a
-    # subtraction, and the flat index into ``got`` is built in place.
+    # Each hit word's slot bit and unit row, rcb * k + pos, as the word map
+    # of ``rcam_sim.geometry`` places them.  numpy divides by a scalar fast
+    # but takes remainders slowly, and a fresh temporary costs more than the
+    # arithmetic, so the remainders are a mask (RCU_SLOTS is a power of two,
+    # words >= 0) and a subtraction, and the flat index into ``got`` is
+    # built in place.
     q = words // k  # rcb * RCU_SLOTS + slot
     bit = (q & (RCU_SLOTS - 1)).astype(np.uint32)
     np.left_shift(np.uint32(1), bit, out=bit)

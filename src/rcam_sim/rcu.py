@@ -8,12 +8,12 @@ port sets or clears a single cell; searching reads a whole row and yields a
 :class:`RcamArray` is the full grid of RCUs for a geometry.  It stores every
 RCU row-packed in one numpy array (row value -> 32-bit slot mask).  Erase and
 write are the same port operation with a different bit, so one private
-primitive, ``RcamArray._apply``, does every cell write: for a whole table
-(:meth:`RcamArray.apply_full_table`, the engine's erase and write passes, in
-blocks of ``_BLOCK_WORDS`` words) and for one word (``apply_word``).  It is
-an exact add/subtract scatter: it gathers the cells' current bits, then adds
-the slot bits still clear, or subtracts those still set.  A search ANDs the
-slices' packed slot masks (:meth:`RcamArray.match_masks`).
+primitive, ``RcamArray._apply``, does every cell write, one block of
+``_BLOCK_WORDS`` words of a whole table at a time
+(:meth:`RcamArray.apply_full_table`, the engine's erase and write passes).
+It is an exact add/subtract scatter: it gathers the cells' current bits,
+then adds the slot bits still clear, or subtracts those still set.  A
+search ANDs the slices' packed slot masks (:meth:`RcamArray.match_masks`).
 ``oracle.equivalence_check`` takes the array itself and compares in that
 packed layout; only ``search_batch`` and ``slice_match`` unpack to word
 order.
@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import (RCU_ROWS, RCU_SLOTS, SUB_WORD_BITS, CamGeometry,
-                       map_word_index)
+from .geometry import RCU_ROWS, RCU_SLOTS, SUB_WORD_BITS, CamGeometry
 
 _SLOT_MASKS = np.uint32(1) << np.arange(RCU_SLOTS, dtype=np.uint32)
 # Words per ``apply_full_table`` block: the scatter's index, mask and gather
@@ -47,20 +46,21 @@ class RcamArray:
     # -- erase/write -----------------------------------------------------------
 
     def _apply(self, cells, base, masks, values, bit: int) -> None:
-        """Set (bit=1) or clear (bit=0) one cell per word and byte slice.
+        """Set (bit=1) or clear (bit=0) one cell per word and byte slice
+        of one block of a table.
 
-        ``cells`` is a run of whole units of the grid.  ``base`` (intp: the
+        ``cells`` is the block's units of the grid.  ``base`` (intp: the
         flat index in ``cells`` of each word's row 0 of slice 0), ``masks``
         (32-bit one-hot slot masks) and ``values`` are 1-D, one per word:
         only then does ``ufunc.at`` take its fast loop.
 
         Premise: within one call, words that share a cell touch distinct slot
-        bits.  A whole table holds each (unit, slot) once, and ``apply_word``
-        writes one word.  With ``held`` the cells' bits before the call, an
-        unbuffered ``np.add.at`` of ``masks & ~held`` then equals the OR, and
-        ``np.subtract.at`` of ``masks & held`` the AND-NOT, whatever the grid
-        held.  numpy has fast indexed loops for ``add.at`` and
-        ``subtract.at``, but none for the bitwise ufuncs.
+        bits, as a whole table holds each (unit, slot) once.  With ``held``
+        the cells' bits before the call, an unbuffered ``np.add.at`` of
+        ``masks & ~held`` then equals the OR, and ``np.subtract.at`` of
+        ``masks & held`` the AND-NOT, whatever the grid held.  numpy has
+        fast indexed loops for ``add.at`` and ``subtract.at``, but none for
+        the bitwise ufuncs.
         """
         flat = cells.reshape(-1)
         for c in range(self.geometry.slices):
@@ -95,14 +95,6 @@ class RcamArray:
             block = values[start:start + words]
             self._apply(self.cells[b * span:(b + 1) * span],
                         base[:block.size], masks[:block.size], block, bit)
-
-    def apply_word(self, word: int, value: int, bit: int) -> None:
-        g = self.geometry
-        rcb, slot, pos = map_word_index(g, word)
-        unit = rcb * g.words_per_beat_k + pos
-        self._apply(self.cells[unit * g.slices:(unit + 1) * g.slices],
-                    np.zeros(1, dtype=np.intp), _SLOT_MASKS[slot:slot + 1],
-                    np.array([value], dtype=np.uint64), bit)
 
     # -- search ----------------------------------------------------------------
 

@@ -1,13 +1,14 @@
-"""Reads of CAM state and trace events that only the tests need.
+"""Reads and writes of CAM state, and reads of trace events, that only the
+tests need.
 
 Each works on public attributes alone: the RCU cells and ``search_batch``
-of an ``RcamArray``, the word table of a ``ReferenceCam`` and the columns
-of an ``EventColumns``.
+of an ``RcamArray``, the ``cam`` of an ``RcamEngine``, the word table of a
+``ReferenceCam`` and the columns of an ``EventColumns``.
 """
 
 import numpy as np
 
-from rcam_sim.geometry import RCU_SLOTS
+from rcam_sim.geometry import RCU_SLOTS, GeometryError
 
 
 def column_occupancy(cam) -> np.ndarray:
@@ -37,6 +38,27 @@ def apply_words(geometry, cells: np.ndarray, words, bit: int) -> np.ndarray:
     return out
 
 
+def poke_word(cam, word: int, value: int, bit: int) -> None:
+    """Set (bit=1) or clear (bit=0) the cells of one word of an
+    ``RcamArray`` in place, outside any update: a fault, such as a write
+    without its erase."""
+    cam.cells[...] = apply_words(cam.geometry, cam.cells, [(word, value)], bit)
+
+
+def before_write_pass(engine, probe) -> None:
+    """Call ``probe(engine)`` whenever ``engine`` starts an update's write
+    pass: between its erase pass and its write pass, the one point where the
+    grid holds neither the old table nor the new one."""
+    apply_full_table = engine.cam.apply_full_table
+
+    def wrapped(values, bit):
+        if bit:
+            probe(engine)
+        apply_full_table(values, bit)
+
+    engine.cam.apply_full_table = wrapped
+
+
 def search(cam, key: int) -> np.ndarray:
     """Length-N boolean match vector of an ``RcamArray`` for one key."""
     return cam.search_batch(np.asarray([key], dtype=np.uint64))[0]
@@ -49,9 +71,19 @@ def scan(reference, key: int) -> np.ndarray:
     return words == words.dtype.type(key)
 
 
+def map_word_index(geometry, word: int) -> tuple[int, int, int]:
+    """Global word index -> (rcb, slot j, position i)."""
+    if not 0 <= word < geometry.depth_n:
+        raise GeometryError(
+            f"word index {word} out of range [0, {geometry.depth_n})")
+    rcb, rem = divmod(word, RCU_SLOTS * geometry.words_per_beat_k)
+    j, i = divmod(rem, geometry.words_per_beat_k)
+    return rcb, j, i
+
+
 def word_index_of(geometry, rcb: int, slot: int, position: int) -> int:
     """The word at (rcb, slot, position): the inverse of
-    ``geometry.map_word_index``, written from the placement formula."""
+    ``map_word_index``, written from the placement formula."""
     k = geometry.words_per_beat_k
     return rcb * RCU_SLOTS * k + slot * k + position
 

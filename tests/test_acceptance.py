@@ -12,12 +12,13 @@ from rcam_sim.bus import ideal_bus, update_io_efficiency
 from rcam_sim.calibration import calibrate
 from rcam_sim.engines import RcamEngine, timing
 from rcam_sim.experiment import ExperimentConfig, run_experiment
-from rcam_sim.geometry import geometry_for, map_word_index
+from rcam_sim.geometry import geometry_for
 from rcam_sim.oracle import ReferenceCam, equivalence_check
 from rcam_sim.payload import generate_payload, splitmix64
 from rcam_sim.resources import m10k_report
 
-from cam_helpers import event_tuples, search, word_index_of
+from cam_helpers import (before_write_pass, event_tuples, map_word_index,
+                         search, word_index_of)
 
 ARCHS = ("s1", "s2", "s3")
 SWEEP = [(65536, 8), (32768, 16), (16384, 32), (8192, 64)]
@@ -162,13 +163,10 @@ def test_criterion_7_invariant_suite():
         engine = RcamEngine(geometry)
         engine.update(generate_payload(1, geometry))
         seen = []
-
-        def probe(stage, eng):
-            seen.append(stage)
-            assert not eng.cam.cells.any()
-
-        engine.update(generate_payload(2, geometry), probe=probe)
-        assert seen == ["after_erase"]
+        before_write_pass(
+            engine, lambda eng: seen.append(not eng.cam.cells.any()))
+        engine.update(generate_payload(2, geometry))
+        assert seen == [True]
         trace = timing(geometry, record_events=True)
         erase_by_row, write_by_row = {}, {}
         for cycle, kind, arg in event_tuples(trace.events):

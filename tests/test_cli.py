@@ -232,6 +232,15 @@ def test_verified_sweep_at_any_bus_width(capsys, bus_width):
             == _cycles_lines(capsys, argv + ["--keys", "0"]))
 
 
+def test_a_one_beat_s1_table_runs(capsys):
+    # 32 8-bit words fill one 256-bit bus beat: a demand schedule of a
+    # single burst, verified
+    lines = _cycles_lines(capsys, ["run", "--arch", "s1", "--depth", "32",
+                                   "--width", "8"])
+    assert [line.split()[:3] for line in lines] == [["s1", "32x8",
+                                                     "cycles=64"]]
+
+
 def test_verify_subcommand(capsys):
     rc = main(["verify", "--iterations", "4", "--seed", "11", "--keys", "64"])
     assert rc == 0

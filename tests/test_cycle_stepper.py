@@ -24,9 +24,20 @@ VARIANTS = [("s1", False), ("s1", True), ("s2", False), ("s3", False)]
 @pytest.mark.parametrize("depth,width,bus_width", TABLES)
 def test_timing_matches_the_stepper(arch, prefetch, knobs, depth, width,
                                     bus_width):
-    g = geometry_for(arch, depth, width, bus_width)
-    bus = (ideal_bus(bus_width) if knobs is None
-           else calibrated_bus(*knobs, bus_width))
+    _check(geometry_for(arch, depth, width, bus_width), knobs, prefetch)
+
+
+@pytest.mark.parametrize("prefetch", [False, True])
+@pytest.mark.parametrize("knobs", KNOBS)
+def test_a_one_beat_s1_table_matches_the_stepper(knobs, prefetch):
+    # 32 8-bit words fill one 256-bit beat: one burst, so no later burst
+    # for the prefetch to overlap
+    _check(geometry_for("s1", 32, 8), knobs, prefetch)
+
+
+def _check(g, knobs, prefetch):
+    bus = (ideal_bus(g.bus_width_b) if knobs is None
+           else calibrated_bus(*knobs, g.bus_width_b))
     trace = timing(g, bus, prefetch, record_events=True)
     summary, events = stepped_summary(g, bus, prefetch)
     assert trace.summary() == summary

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rcam_sim import engines
+from rcam_sim import engines, rcu
 from rcam_sim.bus import (ETA_RESOLUTION, MAX_BURST_OVERHEAD,
                           OVERHEAD_RESOLUTION, BusModel, calibrated_bus,
                           ideal_bus)
@@ -16,7 +16,8 @@ from rcam_sim.oracle import ReferenceCam, equivalence_check
 from rcam_sim.payload import generate_payload
 from rcam_sim.rcu import RcamArray
 
-from cam_helpers import apply_words, column_occupancy, event_tuples, search
+from cam_helpers import (apply_words, before_write_pass, column_occupancy,
+                         event_tuples, poke_word, search)
 
 GRID = [(1024, 8), (1024, 64), (2048, 16), (4096, 8), (4096, 32), (8192, 64)]
 
@@ -245,19 +246,32 @@ def test_first_update_sets_exactly_the_tables_bits(arch):
     np.testing.assert_array_equal(engine.cam.cells, expected)
 
 
-def test_a_single_word_write_marks_the_engine_written():
-    # the word written into a fresh engine must be erased by the next full
-    # update, so that update must run its erase pass
-    g = geometry_for("s1", 1024, 16)
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_a_failed_write_pass_leaves_the_engine_written(arch, monkeypatch):
+    # a fresh engine's write pass that fails after its first block leaves
+    # that block's bits behind, so the next update must run its erase pass
+    g = geometry_for(arch, 8192, 16)
+    monkeypatch.setattr(rcu, "_BLOCK_WORDS", g.depth_n // 2)
+    apply = RcamArray._apply
+
+    def first_block_only(self, *args):
+        if self.cells.any():
+            raise MemoryError("second block")
+        apply(self, *args)
+
     engine = RcamEngine(g)
-    payload = generate_payload(4, g)
-    stale = (int(payload[100]) + 1) & g.word_mask
-    engine.update_word(100, stale)
+    first = generate_payload(4, g)
+    monkeypatch.setattr(RcamArray, "_apply", first_block_only)
+    with pytest.raises(MemoryError, match="second block"):
+        engine.update(first)
+    monkeypatch.setattr(RcamArray, "_apply", apply)
+    assert engine.cam.cells.any()
+    payload = generate_payload(5, g)
     engine.update(payload)
-    assert not search(engine.cam, stale)[100]
-    ref = ReferenceCam(1024, 16)
+    assert column_occupancy(engine.cam).max() == 1
+    ref = ReferenceCam(8192, 16)
     ref.load_full(payload)
-    keys = np.array([stale, payload[100]], dtype=np.uint64)
+    keys = np.concatenate([first[:200], payload[:200]])
     assert equivalence_check(engine.cam, ref, keys).passed
 
 
@@ -269,11 +283,13 @@ def test_a_probe_that_raises_leaves_a_usable_engine(arch, written):
     if written:
         engine.update(generate_payload(5, g))
 
-    def probe(stage, eng):
+    def probe(eng):
         raise RuntimeError("probe failed")
 
+    before_write_pass(engine, probe)
     with pytest.raises(RuntimeError, match="probe failed"):
-        engine.update(generate_payload(6, g), probe=probe)
+        engine.update(generate_payload(6, g))
+    del engine.cam.apply_full_table  # the probe goes
     payload = generate_payload(7, g)
     engine.update(payload)
     ref = ReferenceCam(2048, 16)
@@ -301,12 +317,6 @@ def test_only_a_written_cam_runs_the_erase_pass(arch, monkeypatch):
     for seed in (2, 3):
         engine.update(generate_payload(seed, g))
     assert passes == [1, 0, 1, 0, 1]
-    if arch == "s1":
-        fresh = RcamEngine(g)
-        fresh.update_word(0, 1)
-        passes.clear()
-        fresh.update(generate_payload(4, g))
-        assert passes == [0, 1]
 
 
 # -- event-level invariants ---------------------------------------------------
@@ -380,15 +390,15 @@ def test_post_erase_state_is_zero(arch):
     g = geometry_for(arch, 2048, 16)
     engine = RcamEngine(g)
     engine.update(generate_payload(5, g))  # leave real contents behind
-    stages = []
+    seen = []
 
-    def probe(stage, eng):
-        stages.append(stage)
-        assert not eng.cam.cells.any()
-        assert not search(eng.cam, 42).any()  # probe-mode search allowed
+    def probe(eng):
+        seen.append(eng.cam.cells.any())
+        assert not search(eng.cam, 42).any()  # a search mid-update
 
-    engine.update(generate_payload(6, g), probe=probe)
-    assert stages == ["after_erase"]
+    before_write_pass(engine, probe)
+    engine.update(generate_payload(6, g))
+    assert seen == [False]
 
 
 def test_trace_determinism():
@@ -442,14 +452,6 @@ def test_every_ideal_and_shipped_trace_fits_the_bound():
                     for prefetch in {False, arch == "s1"}:
                         assert (cycle_total(g, bus, prefetch)
                                 <= engines.MAX_TRACE_CYCLES)
-
-
-@pytest.mark.parametrize("arch", ["s2", "s3"])
-def test_only_s1_updates_a_single_word(arch):
-    engine = RcamEngine(geometry_for(arch, 1024, 8))
-    with pytest.raises(EngineError, match="no single-word update"):
-        engine.update_word(0, 1)
-    assert not engine.cam.cells.any()
 
 
 # -- bus coupling -------------------------------------------------------------
@@ -506,71 +508,7 @@ def test_calibrated_fidelity_across_archs():
         assert equivalence_check(engine.cam, ref, payload[:300]).passed
 
 
-# -- incremental updates and bookkeeping ---------------------------------------
-
-def test_s1_incremental_word_update():
-    g = geometry_for("s1", 1024, 16)
-    engine = RcamEngine(g)
-    payload = generate_payload(2, g)
-    engine.update(payload)
-    assert engine.update_word(100, 0xBEEF) is None  # timing owns traces
-    table = payload.copy()
-    table[100] = 0xBEEF
-    ref = ReferenceCam(1024, 16)
-    ref.load_full(table)
-    keys = np.array([0xBEEF, payload[100], payload[99]], dtype=np.uint64)
-    assert equivalence_check(engine.cam, ref, keys).passed
-    with pytest.raises(EngineError):
-        engine.update_word(5000, 1)
-    with pytest.raises(EngineError):
-        engine.update_word(0, 1 << 16)
-
-
-@given(depth=st.sampled_from([1024, 2048, 4096]),
-       width=st.sampled_from([8, 16, 32, 64]), data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_single_word_updates_match_a_rebuilt_reference(depth, width, data):
-    # a full update, then single-word updates mirrored in a shadow table;
-    # the reference is rebuilt from the shadow with load_full
-    g = geometry_for("s1", depth, width)
-    engine = RcamEngine(g)
-    shadow = generate_payload(data.draw(st.integers(1, 1000), "seed"), g)
-    engine.update(shadow)
-    index = st.integers(0, depth - 1)
-    value = st.integers(0, g.word_mask) | index.map(lambda i: int(shadow[i]))
-    writes = data.draw(st.lists(st.tuples(index, value), min_size=1,
-                                max_size=40), "writes")
-    skipped = data.draw(st.integers(0, len(writes) - 1), "write not mirrored")
-    unmirrored = shadow.copy()
-    for n, (i, v) in enumerate(writes):
-        engine.update_word(i, v)
-        shadow[i] = v
-        if n != skipped:
-            unmirrored[i] = v
-    i = writes[skipped][0]
-    keys = np.array(data.draw(st.lists(value, max_size=20), "keys")
-                    + [int(shadow[i]), int(unmirrored[i])], dtype=np.uint64)
-    ref = ReferenceCam(depth, width)
-    ref.load_full(shadow)
-    verdict = equivalence_check(engine.cam, ref, keys)
-    assert verdict.passed, verdict.first_divergence
-    # without one mirrored write the reference differs at that word alone,
-    # unless a later write to it, or the same value, hides the skip
-    ref.load_full(unmirrored)
-    verdict = equivalence_check(engine.cam, ref, keys)
-    assert verdict.passed == (shadow[i] == unmirrored[i])
-    if not verdict.passed:
-        assert verdict.first_divergence in {(int(shadow[i]), i),
-                                            (int(unmirrored[i]), i)}
-
-
-def test_s1_rejects_a_probe():
-    # s1 erases and writes word by word: no all-erased state exists
-    g = geometry_for("s1", 1024, 8)
-    engine = RcamEngine(g)
-    with pytest.raises(EngineError, match="all-erased"):
-        engine.update(generate_payload(1, g), probe=lambda stage, eng: None)
-
+# -- bookkeeping --------------------------------------------------------------
 
 def test_rejects_bad_payloads_and_keys():
     g = geometry_for("s2", 1024, 8)
@@ -602,7 +540,7 @@ def test_skipped_erase_is_detectable():
     payload = generate_payload(8, g)
     engine.update(payload)
     victim, stale_key = 321, int(payload[321])
-    engine.cam.apply_word(victim, 0x3C, 1)  # write without erasing
+    poke_word(engine.cam, victim, 0x3C, 1)  # write without erasing
     occupancy = column_occupancy(engine.cam)
     assert occupancy.max() == 2
     table = payload.copy()

@@ -12,50 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcam_sim.engines import EngineError, RcamEngine
+from rcam_sim.engines import RcamEngine
 from rcam_sim.erase_store import EraseStore
-from rcam_sim.geometry import geometry_for, map_word_index
+from rcam_sim.geometry import geometry_for
 from rcam_sim.oracle import ReferenceCam, equivalence_check
 from rcam_sim.payload import generate_payload
 
-from cam_helpers import column_occupancy, search
+from cam_helpers import before_write_pass, column_occupancy, map_word_index
 
 
 def _rows(engine, row_words):
     """The store of ``engine`` as rows of ``row_words`` words."""
     return engine.eram.stored_words().reshape(-1, row_words)
-
-
-def test_per_unit_swap_basics():
-    # s1 incremental update: read the old word, erase it, store the new one
-    g = geometry_for("s1", 1024, 8)
-    engine = RcamEngine(g)
-    assert not engine.eram.stored_words().any()  # fresh tables read as zero
-    engine.update_word(3, 0xAB)
-    engine.update_word(3, 0xCD)
-    assert engine.eram.stored_words()[3] == 0xCD
-    assert not search(engine.cam, 0xAB)[3]  # the old word was erased
-    assert search(engine.cam, 0xCD)[3]
-    with pytest.raises(EngineError):
-        engine.update_word(1024, 0)
-    with pytest.raises(EngineError):
-        engine.update_word(0, 256)
-
-
-def test_per_unit_swap_replay():
-    g = geometry_for("s1", 1024, 8)
-    engine = RcamEngine(g)
-    log = np.zeros(1024, dtype=np.uint64)
-    engine.update(log)  # a whole table of zeros, as the reference loads
-    rng = np.random.default_rng(31337)
-    for _ in range(2000):
-        index, value = int(rng.integers(1024)), int(rng.integers(256))
-        engine.update_word(index, value)
-        log[index] = value
-    assert np.array_equal(engine.eram.stored_words(), log)
-    reference = ReferenceCam(1024, 8)
-    reference.load_full(log)
-    assert equivalence_check(engine.cam, reference, np.arange(256)).passed
 
 
 def test_per_unit_bank_round_trip():
@@ -98,12 +66,13 @@ def test_central_two_pass_replay():
     engine.update(first)
     seen = []
 
-    def probe(stage, eng):
+    def probe(eng):
         # erase pass done: the store holds the new rows, the CAM is empty
         seen.append(np.array_equal(eng.eram.stored_words(), second))
         assert not eng.cam.cells.any()
 
-    engine.update(second, probe=probe)
+    before_write_pass(engine, probe)
+    engine.update(second)
     assert seen == [True]
     reference = ReferenceCam(2048, 8)
     reference.load_full(second)

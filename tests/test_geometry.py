@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcam_sim.geometry import (MAX_DEPTH, CamGeometry, GeometryError,
-                               feasible_partitions, geometry_for,
-                               map_word_index)
+                               feasible_partitions, geometry_for)
 
-from cam_helpers import word_index_of
+from cam_helpers import map_word_index, word_index_of
 
 FLAGSHIP = dict(depth_n=65536, word_width_w=8)
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from rcam_sim.geometry import ARCHITECTURES, geometry_for
 from rcam_sim.oracle import ReferenceCam, equivalence_check
 from rcam_sim.payload import generate_payload
 
-from cam_helpers import scan
+from cam_helpers import poke_word, scan
 
 
 def test_search_before_load_full_is_refused():
@@ -50,6 +51,26 @@ def test_load_full_rejects_words_wider_than_w():
         ref.load_full([1, 2, 300, 4])
     with pytest.raises(ValueError, match="before load_full"):
         ref.search_batch([2])  # nothing was loaded
+
+
+@pytest.mark.parametrize("depth,width,message", [
+    (0, 8, "depth_n must be positive"),
+    (-1, 8, "depth_n must be positive"),
+    (64, 0, "word_width_w must be a multiple of 8, <= 64"),
+    (64, 7, "word_width_w must be a multiple of 8, <= 64"),
+    (64, 72, "word_width_w must be a multiple of 8, <= 64"),
+])
+def test_reference_refuses_bad_shapes(depth, width, message):
+    with pytest.raises(ValueError, match=message):
+        ReferenceCam(depth, width)
+
+
+@pytest.mark.parametrize("width", [8, 64])
+def test_reference_accepts_the_extreme_widths(width):
+    ref = ReferenceCam(64, width)
+    table = np.full(64, (1 << width) - 1, dtype=np.uint64)
+    ref.load_full(table)
+    assert scan(ref, (1 << width) - 1).all()
 
 
 def test_duplicates_set_two_bits():
@@ -110,7 +131,7 @@ def test_equivalence_check_pass_and_fault_injection():
     # fault injection: skip the erase for one rewrite
     table = payload.copy()
     table[500] = (int(payload[500]) + 1) % 256
-    engine.cam.apply_word(500, int(table[500]), 1)
+    poke_word(engine.cam, 500, int(table[500]), 1)
     ref.load_full(table)
     verdict = equivalence_check(engine.cam, ref, keys)
     assert not verdict.passed
@@ -144,7 +165,7 @@ def test_chunked_compare_finds_the_same_divergence(monkeypatch):
     payload = generate_payload(8, g)
     engine.update(payload)
     victim, stale_key = 321, int(payload[321])
-    engine.cam.apply_word(victim, 0x3C, 1)  # write without erasing
+    poke_word(engine.cam, victim, 0x3C, 1)  # write without erasing
     table = payload.copy()
     table[victim] = 0x3C
     ref = ReferenceCam(1024, 8)
@@ -230,7 +251,7 @@ def test_compare_gives_the_dense_verdict(arch, depth, width, data):
         if kind == "reference":
             table[i] = v
         else:  # an engine write or erase without the matching erase
-            engine.cam.apply_word(i, v, int(kind == "set"))
+            poke_word(engine.cam, i, v, int(kind == "set"))
     ref.load_full(table)
     # small budgets put chunk boundaries inside the key sample
     step = data.draw(st.sampled_from([None, 1, 3]), "keys per chunk")
@@ -325,8 +346,8 @@ def test_the_earliest_diverging_key_wins_across_chunks(monkeypatch):
     ref.load_full(payload)
     late, early = 0x0F, 0xF0
     assert int(payload[100]) != late and int(payload[700]) != early
-    engine.cam.apply_word(100, late, 1)  # writes without erasing
-    engine.cam.apply_word(700, early, 1)
+    poke_word(engine.cam, 100, late, 1)  # writes without erasing
+    poke_word(engine.cam, 700, early, 1)
     keys = np.array([early, 3, 0x80, late, early, 200], dtype=np.uint64)
     # one distinct key per chunk
     monkeypatch.setattr(oracle, "_COMPARE_BYTES", 4 * g.depth_n // 32)
@@ -338,3 +359,47 @@ def test_the_earliest_diverging_key_wins_across_chunks(monkeypatch):
     assert (verdict.passed, verdict.first_divergence) == _dense_verdict(
         engine, ref, keys)
     assert verdict.first_divergence == (early, 700)
+
+
+def test_the_smallest_diverging_word_wins_within_a_key():
+    # One key with both a missed hit (word 900) and an extra match (word
+    # 10): the verdict names the smaller word, not the missed hit.
+    g = geometry_for("s2", 1024, 8)
+    engine = RcamEngine(g)
+    payload = np.zeros(g.depth_n, dtype=np.uint64)
+    payload[900] = 5
+    engine.update(payload)
+    ref = ReferenceCam(1024, 8)
+    ref.load_full(payload)
+    poke_word(engine.cam, 900, 5, 0)
+    poke_word(engine.cam, 10, 5, 1)
+    verdict = equivalence_check(engine.cam, ref, np.array([5], np.uint64))
+    assert verdict.first_divergence == (5, 10)
+    assert (verdict.passed, verdict.first_divergence) == _dense_verdict(
+        engine, ref, np.array([5], np.uint64))
+
+
+def test_compare_memory_is_flat_in_the_key_count():
+    # At 2^20 words the hit budget, not only the mask bytes, cuts the
+    # chunks.  Each 8-bit key hits about 4,096 words; the peak holds one
+    # chunk's masks and hits (some 40 bytes a hit), whatever the sample.
+    g = geometry_for("s2", 1 << 20, 8)
+    engine = RcamEngine(g)
+    payload = generate_payload(1, g)
+    engine.update(payload)
+    ref = ReferenceCam(g.depth_n, 8)
+    ref.load_full(payload)
+    ref.hits(payload[:1])  # the sorted index lives as long as the table
+    rng = np.random.default_rng(0)
+    peaks = []
+    for count in (1_000, 20_000, 100_000):
+        keys = rng.integers(0, 256, count, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            assert equivalence_check(engine.cam, ref, keys).passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < oracle._COMPARE_BYTES + 48 * oracle._HIT_BUDGET
+    # less than 4 bytes an added key: one int64 per key would be 8
+    assert max(peaks) - peaks[0] < 4 * (100_000 - 1_000)

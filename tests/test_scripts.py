@@ -4,6 +4,7 @@ import csv
 import hashlib
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -105,3 +106,32 @@ def test_bench_pairs_outside_measures_each_tree():
     assert 1 < metrics["large_run_peak_rss_mb"]["value"] < 1024
     assert metrics["flagship_op_ms"]["value"] > 0
     assert metrics["flagship_minflt_per_op"]["value"] >= 0
+
+
+def test_bench_pairs_runs_this_harness_on_the_parent(tmp_path):
+    # a parent commit, then a change to its source and its harness that
+    # also leaves benchmark output behind
+    script = _load("bench_pairs")
+    root, export = tmp_path / "repo", tmp_path / "export"
+    parent = {"src/pkg/core.py": "parent", "perfbench/run.py": "parent",
+              "perfbench/gone.py": "parent", "BENCHMARK.json": "parent"}
+    for name, text in parent.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@localhost",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run(git + ["init", "-q"], cwd=root, check=True)
+    subprocess.run(git + ["add", "-A"], cwd=root, check=True)
+    subprocess.run(git + ["commit", "-qm", "parent"], cwd=root, check=True)
+    for name in ("src/pkg/core.py", "perfbench/run.py", "BENCHMARK.json"):
+        (root / name).write_text("change")
+    (root / "perfbench/gone.py").unlink()
+    (root / "perfbench/out").mkdir()
+    (root / "perfbench/out/result.json").write_text("{}")
+    export.mkdir()
+    script.export_parent(root, "HEAD", export)
+    assert (export / "src/pkg/core.py").read_text() == "parent"
+    assert (export / "perfbench/run.py").read_text() == "change"
+    assert (export / "BENCHMARK.json").read_text() == "change"
+    assert sorted(p.name for p in (export / "perfbench").iterdir()) == [
+        "run.py"]

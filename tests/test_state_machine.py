@@ -1,12 +1,11 @@
 """A randomized state machine over engines, updates, searches and buses.
 
-Its steps build engines, update them whole, rewrite single s1 words, check
-the CAM against a reference rebuilt with ``load_full`` from a shadow table,
-and time the update on new buses against ``cycle_stepper``'s naive
-per-cycle stepper.  Updates and single-word writes may come in any order,
-also into an engine never written, whose first full update skips its erase
-pass.  Tables hold at most 4,096 words, because the stepper walks every
-cycle in Python.
+Its steps build engines, update them, check that each update's erase pass
+leaves a clear grid, check the CAM against a reference rebuilt with
+``load_full`` from a shadow table, and time the update on new buses against
+``cycle_stepper``'s naive per-cycle stepper.  A new engine is never
+written, so its first update skips its erase pass.  Tables hold at most
+4,096 words, because the stepper walks every cycle in Python.
 """
 
 import numpy as np
@@ -21,7 +20,7 @@ from rcam_sim.geometry import ARCHITECTURES, geometry_for
 from rcam_sim.oracle import ReferenceCam, equivalence_check
 from rcam_sim.payload import generate_payload
 
-from cam_helpers import event_tuples
+from cam_helpers import before_write_pass, event_tuples
 from cycle_stepper import stepped_summary
 
 GEOMETRIES = st.tuples(st.sampled_from(ARCHITECTURES),
@@ -46,6 +45,7 @@ class EngineMachine(RuleBasedStateMachine):
     def new_engine(self, shape):
         self.geometry = geometry_for(*shape)
         self.engine = RcamEngine(self.geometry)
+        before_write_pass(self.engine, self.cleared)
         self.shadow = None
         self.written = []
 
@@ -62,25 +62,14 @@ class EngineMachine(RuleBasedStateMachine):
                              "pool")
             payload = np.asarray(pool, dtype=np.uint64)[
                 np.random.default_rng(seed).integers(0, len(pool), g.depth_n)]
-
-        def cleared(stage, engine):
-            assert not engine.cam.cells.any()
-
-        self.engine.update(
-            payload, None if g.architecture == "s1" else cleared)
+        self.engine.update(payload)
         self.shadow = payload.copy()
         self.written.extend(np.unique(payload)[:8].tolist())
 
-    @precondition(lambda self: self.geometry.architecture == "s1")
-    @rule(data=st.data())
-    def update_word(self, data):
-        g = self.geometry
-        index = data.draw(st.integers(0, g.depth_n - 1), "index")
-        value = data.draw(self._values(), "value")
-        self.engine.update_word(index, value)
-        if self.shadow is not None:
-            self.shadow[index] = value
-        self.written.append(value)
+    @staticmethod
+    def cleared(engine):
+        # the erase pass leaves no bit, and a never-written grid has none
+        assert not engine.cam.cells.any()
 
     @precondition(lambda self: self.shadow is not None)
     @rule(data=st.data())
