@@ -17,6 +17,7 @@ from pathlib import Path
 
 from rcam_sim.calibration import calibrate
 from rcam_sim.experiment import ExperimentConfig, emit_report, run_sweep
+from rcam_sim.geometry import geometry_for
 from rcam_sim.resources import m10k_report
 
 GEOMETRIES = [(65536, 8), (32768, 16), (16384, 32), (8192, 64)]
@@ -26,11 +27,11 @@ def resource_table() -> None:
     print("== memory blocks (M10K) ==")
     print(f"{'geometry':>12}  {'s1':>6}  {'s2/s3':>6}  {'saving':>7}")
     for depth, width in GEOMETRIES:
-        s1 = m10k_report((depth, width), "s1")
-        s2 = m10k_report((depth, width), "s2")
+        s1 = m10k_report(geometry_for("s1", depth, width))
+        s2 = m10k_report(geometry_for("s2", depth, width))
         print(f"{depth:>7}x{width:<4}  {s1.total_m10k:>6}  {s2.total_m10k:>6}"
               f"  {100 * s2.saving_vs_s1:>6.2f}%")
-    s1 = m10k_report((65536, 8), "s1")
+    s1 = m10k_report(geometry_for("s1", 65536, 8))
     print(f"s1 erase-RAM block utilization: "
           f"{100 * s1.erase_ram_utilization:.3f}%")
 

@@ -23,9 +23,9 @@ only a geometry.  Its ``update`` first takes ``timing`` on the ideal bus of
 the geometry's width, so that a schedule it refuses leaves the CAM as it
 was.  It then checks the payload, runs the erase pass over the old table,
 the erase-store swap and the write pass, and returns that ideal-bus trace,
-without events.  A CAM never written holds no bit, so its first update
-skips the erase pass, which subtracts only bits that are set and would
-change no cell.
+without events.  A CAM never written holds no bit, so while its erase store
+holds no table an update skips the erase pass, which subtracts only bits
+that are set and would change no cell.
 
 The sorted (cycle, rank, arg) arrays are the trace's only event record.
 :class:`EventColumns` holds them as read-only columns and writes them as
@@ -210,7 +210,7 @@ def _as_payload(geometry: CamGeometry, payload) -> np.ndarray:
             f"payload must hold {geometry.depth_n} words, got shape {arr.shape}")
     if arr.size and int(arr.max()) > geometry.word_mask:
         raise EngineError(f"payload word exceeds {geometry.word_width_w} bits")
-    return arr.copy()
+    return arr
 
 
 class RcamEngine:
@@ -225,23 +225,21 @@ class RcamEngine:
         self.geometry = geometry
         self.cam = RcamArray(geometry)
         self.eram = EraseStore(geometry)
-        # Set when the first write begins; until then the grid holds no bit.
-        self._written = False
 
     def update(self, payload) -> UpdateTrace:
         """Run one full-table update; return its ideal-bus trace.
 
         The schedule is taken first, so that one it refuses leaves the CAM
-        as it was.  The erase pass is skipped until the CAM is first
-        written: a clear grid has no bit to clear.
+        as it was.  The erase pass is skipped while the store holds no
+        table: no write has begun, so the grid has no bit to clear.
         """
         g = self.geometry
         trace = timing(g, ideal_bus(g.bus_width_b))
         payload = _as_payload(g, payload)
-        if self._written:  # erase pass
-            self.cam.apply_full_table(self.eram.stored_words(), 0)
+        old = self.eram.stored_words()
+        if old is not None:  # erase pass
+            self.cam.apply_full_table(old, 0)
         self.eram.store_words(payload)
-        self._written = True
         self.cam.apply_full_table(payload, 1)  # write pass
         return trace
 

@@ -1,4 +1,4 @@
-"""The erase store: the last word written at each CAM index.
+"""The erase store: the last table written to a CAM, word by word.
 
 An erase RAM remembers the last word written at each CAM slot so that stale
 bits can be cleared before a rewrite.  The three architectures organize that
@@ -14,12 +14,12 @@ reshape differs, and the reshape is set by the word map of
   g holds the k = P*B/W words of word group g, beat b in partition b % P.
 
 So one store serves all three: :class:`EraseStore` keeps the N words in
-global word order.  It starts zeroed and has no validity flags: the engine
-skips the erase pass until its CAM is first written, and after that an
-entry never written is 0, whose erase clears no bit, because the erase
-subtracts only the bits it finds set.  Dual-port read-before-write is
-realized by call order: engines read the old words before storing the new
-ones.
+global word order, at the narrowest unsigned dtype of a W-bit word, whose
+byte slices the erase pass reads as a view (``geometry.byte_slices``).
+Every update stores a whole table, so the store holds no table before the
+first update and the last one after it: it needs no validity flags.
+Dual-port read-before-write is realized by call order: engines read the old
+words before storing the new ones.
 """
 
 from __future__ import annotations
@@ -30,19 +30,22 @@ from .geometry import CamGeometry
 
 
 class EraseStore:
-    """The N last-written words of one CAM instance, as ``uint64``."""
+    """The last table written to one CAM instance, read-only at the narrowest
+    unsigned dtype of its word width, or ``None`` before the first."""
 
     def __init__(self, geometry: CamGeometry):
         self.geometry = geometry
-        self.words = np.zeros(geometry.depth_n, dtype=np.uint64)
+        self.words = None
 
-    def stored_words(self) -> np.ndarray:
-        """Copy of the last-written word at every global index."""
-        return self.words.copy()
+    def stored_words(self) -> np.ndarray | None:
+        """The last-written word at every global index, or ``None``."""
+        return self.words
 
     def store_words(self, values: np.ndarray) -> None:
-        """Replace every entry from a full-table word array."""
-        self.words[:] = values
+        """Keep a read-only copy of a full-table word array."""
+        words = np.array(values, dtype=np.min_scalar_type(self.geometry.word_mask))
+        words.flags.writeable = False
+        self.words = words
 
 
 # The benchmark's tracer (perfbench/tracing.py) wraps the store's methods

@@ -363,8 +363,7 @@ def run_experiment(config: ExperimentConfig,
             architecture=arch, geometry=geometry.describe(),
             bus=bus, total_cycles=trace.total_cycles,
             trace=trace.summary(),
-            resources=m10k_report((geometry.depth_n, geometry.word_width_w),
-                                  arch).to_dict(),
+            resources=m10k_report(geometry).to_dict(),
             oracle=oracle_info))
     return EfficiencyReport(
         config=config.to_dict(), bus=bus.describe(), results=results,

@@ -4,7 +4,8 @@ A CAM of ``depth_n`` words by ``word_width_w`` bits is built from RCUs (RAM
 CAM units): dual-port block RAMs whose write port sees 8,192x1 bits and whose
 search port sees 256x32 bits.  Each RCU therefore stores 32 CAM sub-words of
 8 bits as a 256-row x 32-column bit matrix.  Words wider than 8 bits occupy
-one RCU per byte slice; all slices of a word share the same slot.
+one RCU per byte slice; all slices of a word share the same slot.  Slice c
+of a word is its little-endian byte c (:func:`byte_slices`).
 
 Global word order is preserved across all write parallelisms by a single
 placement map
@@ -28,6 +29,8 @@ three architectures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 RCU_ROWS = 256  # 2^8 rows, one per sub-word value
 RCU_SLOTS = 32  # CAM words per RCU
@@ -143,6 +146,14 @@ class CamGeometry:
             "rcb_count": self.rcb_count,
             "rcu_count": self.rcu_count,
         }
+
+
+def byte_slices(words: np.ndarray) -> np.ndarray:
+    """The little-endian bytes of unsigned ``words`` on a new last axis:
+    ``[..., c]`` is byte slice c, ``(words >> 8c) & 0xFF``.  It is a view of
+    contiguous little-endian ``words``; other input is copied first."""
+    octets = np.ascontiguousarray(words, words.dtype.newbyteorder("<"))
+    return octets.view(np.uint8).reshape(*words.shape, words.itemsize)
 
 
 def check_partitions(partitions_p: int) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RCU_SLOTS
+from .geometry import RCU_SLOTS, byte_slices
 
 # Bytes of the system's packed (rcb*k, keys) uint32 slot masks, and reference
 # hits (some 40 bytes of index arrays each), that equivalence_check holds per
@@ -52,9 +52,7 @@ class ReferenceCam:
         if int(arr.max()) > self.word_mask:
             raise ValueError(f"payload word wider than {self.word_width_w} bits")
         # smallest dtype that holds a word: the scan stays a plain equality
-        dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
-                     if np.iinfo(t).bits >= self.word_width_w)
-        self.words = arr.astype(dtype)
+        self.words = arr.astype(np.min_scalar_type(self.word_mask))
         self._sorted = None
 
     def search_batch(self, keys) -> np.ndarray:
@@ -202,8 +200,7 @@ def _chunk_divergence(system, reference: ReferenceCam, chunk: np.ndarray,
         return None
     i = np.flatnonzero(diverged)[first[diverged].argmin()]
     # the key's extra matches in word order, plus its missed hits
-    diff = np.unpackbits(got[:, i].astype("<u4").view(np.uint8),
-                         bitorder="little")
+    diff = np.unpackbits(byte_slices(got[:, i]), bitorder="little")
     diff = diff.reshape(-1, k, RCU_SLOTS).transpose(0, 2, 1).ravel()
     diff[words[missed & (column == i)]] = 1
     return first[i], int(chunk[i]), int(diff.argmax())

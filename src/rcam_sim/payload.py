@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CamGeometry
+from .geometry import CamGeometry, byte_slices
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -29,35 +29,41 @@ class PayloadError(ValueError):
 
 def splitmix64(values: np.ndarray) -> np.ndarray:
     """Vectorized SplitMix64 finalizer over uint64 inputs (wraps mod 2^64)."""
+    z = np.array(values, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = np.asarray(values, dtype=np.uint64) + _GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        return z ^ (z >> np.uint64(31))
+        z += _GAMMA
+        z ^= z >> np.uint64(30)
+        z *= _M1
+        z ^= z >> np.uint64(27)
+        z *= _M2
+        z ^= z >> np.uint64(31)
+    return z
 
 
 def generate_payload(seed: int, geometry: CamGeometry) -> np.ndarray:
     """Deterministic full-table payload of N words masked to W bits."""
-    n = geometry.depth_n
-    mask = np.uint64(geometry.word_mask)
-    if seed == 0:
-        return (np.arange(n, dtype=np.uint64) & mask)
-    base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + np.arange(n, dtype=np.uint64) * _GAMMA
-    return splitmix64(base) & mask
+    words = np.arange(geometry.depth_n, dtype=np.uint64)
+    if seed:
+        with np.errstate(over="ignore"):
+            words *= _GAMMA
+            words += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        words = splitmix64(words)
+    words &= np.uint64(geometry.word_mask)
+    return words
 
 
 def payload_bytes(geometry: CamGeometry) -> int:
     return geometry.depth_n * geometry.word_width_w // 8
 
 def save_payload(path, payload, geometry: CamGeometry) -> None:
+    """Write a payload file; a word wider than W bits is refused."""
     arr = np.asarray(payload, dtype=np.uint64)
     if arr.shape != (geometry.depth_n,):
         raise PayloadError(f"payload must hold {geometry.depth_n} words")
+    if int(arr.max()) > geometry.word_mask:
+        raise PayloadError(f"payload word exceeds {geometry.word_width_w} bits")
     nbytes = geometry.word_width_w // 8
-    out = np.zeros((geometry.depth_n, nbytes), dtype=np.uint8)
-    for b in range(nbytes):
-        out[:, b] = (arr >> np.uint64(8 * b)) & np.uint64(0xFF)
-    Path(path).write_bytes(out.tobytes())
+    Path(path).write_bytes(byte_slices(arr)[:, :nbytes].tobytes())
 
 
 def load_payload(path, geometry: CamGeometry) -> np.ndarray:
@@ -77,7 +83,6 @@ def load_payload(path, geometry: CamGeometry) -> np.ndarray:
             f"payload file too long: more than {expected} bytes")
     nbytes = geometry.word_width_w // 8
     raw = np.frombuffer(data, dtype=np.uint8).reshape(geometry.depth_n, nbytes)
-    words = np.zeros(geometry.depth_n, dtype=np.uint64)
-    for b in range(nbytes):
-        words |= raw[:, b].astype(np.uint64) << np.uint64(8 * b)
+    words = np.zeros(geometry.depth_n, dtype="<u8")
+    byte_slices(words)[:, :nbytes] = raw  # a view: this fills ``words``
     return words

@@ -14,6 +14,8 @@ primitive, ``RcamArray._apply``, does every cell write, one block of
 It is an exact add/subtract scatter: it gathers the cells' current bits,
 then adds the slot bits still clear, or subtracts those still set.  A
 search ANDs the slices' packed slot masks (:meth:`RcamArray.match_masks`).
+Both take a word's slice c as byte c of a ``geometry.byte_slices`` view,
+so tables and keys of any unsigned dtype serve as they are.
 ``oracle.equivalence_check`` takes the array itself and compares in that
 packed layout; only ``search_batch`` and ``slice_match`` unpack to word
 order.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import RCU_ROWS, RCU_SLOTS, SUB_WORD_BITS, CamGeometry
+from .geometry import RCU_ROWS, RCU_SLOTS, CamGeometry, byte_slices
 
 _SLOT_MASKS = np.uint32(1) << np.arange(RCU_SLOTS, dtype=np.uint32)
 # Words per ``apply_full_table`` block: the scatter's index, mask and gather
@@ -45,14 +47,14 @@ class RcamArray:
 
     # -- erase/write -----------------------------------------------------------
 
-    def _apply(self, cells, base, masks, values, bit: int) -> None:
+    def _apply(self, cells, base, masks, octets, bit: int) -> None:
         """Set (bit=1) or clear (bit=0) one cell per word and byte slice
         of one block of a table.
 
         ``cells`` is the block's units of the grid.  ``base`` (intp: the
         flat index in ``cells`` of each word's row 0 of slice 0), ``masks``
-        (32-bit one-hot slot masks) and ``values`` are 1-D, one per word:
-        only then does ``ufunc.at`` take its fast loop.
+        (32-bit one-hot slot masks) and ``octets`` (byte slices) have one
+        row per word: only then does ``ufunc.at`` take its fast loop.
 
         Premise: within one call, words that share a cell touch distinct slot
         bits, as a whole table holds each (unit, slot) once.  With ``held``
@@ -64,8 +66,7 @@ class RcamArray:
         """
         flat = cells.reshape(-1)
         for c in range(self.geometry.slices):
-            rows = (values >> np.uint64(SUB_WORD_BITS * c)).astype(np.uint8)
-            idx = base + rows
+            idx = base + octets[:, c]
             if c:
                 idx += c * RCU_ROWS
             held = flat[idx]
@@ -81,7 +82,7 @@ class RcamArray:
         """
         g = self.geometry
         k = g.words_per_beat_k
-        values = values.reshape(g.depth_n)
+        octets = byte_slices(values.reshape(g.depth_n))
         # Each block is whole RCBs: its words and its rows of the grid.
         rcbs = min(g.rcb_count, max(1, _BLOCK_WORDS // (RCU_SLOTS * k)))
         words, span = rcbs * RCU_SLOTS * k, rcbs * k * g.slices
@@ -92,9 +93,9 @@ class RcamArray:
                                * (g.slices * RCU_ROWS), shape).ravel()
         masks = np.broadcast_to(_SLOT_MASKS[:, None], shape).ravel()
         for b, start in enumerate(range(0, g.depth_n, words)):
-            block = values[start:start + words]
+            block = octets[start:start + words]
             self._apply(self.cells[b * span:(b + 1) * span],
-                        base[:block.size], masks[:block.size], block, bit)
+                        base[:len(block)], masks[:len(block)], block, bit)
 
     # -- search ----------------------------------------------------------------
 
@@ -127,8 +128,7 @@ class RcamArray:
             raise ValueError(f"key wider than {g.word_width_w} bits")
         packed = None
         for c in range(g.slices):
-            sub = ((keys >> np.uint64(SUB_WORD_BITS * c)) & np.uint64(0xFF))
-            rows = self._gather(c, sub.astype(np.intp))
+            rows = self._gather(c, byte_slices(keys)[:, c])
             packed = rows if packed is None else packed & rows
         return packed
 
@@ -140,9 +140,8 @@ class RcamArray:
         """(rcb*k, nk) packed slot masks -> (nk, N) boolean word matches."""
         g = self.geometry
         k = g.words_per_beat_k
-        m, nk = packed.shape
-        octets = packed.astype("<u4", copy=False).view(np.uint8)
-        bits = np.unpackbits(octets.reshape(m, nk, 4), axis=-1,
+        nk = packed.shape[1]
+        bits = np.unpackbits(byte_slices(packed), axis=-1,
                              bitorder="little")  # (m, nk, 32) slot bits
         grid = bits.reshape(g.rcb_count, k, nk, RCU_SLOTS)
         out = grid.transpose(2, 0, 3, 1).reshape(nk, g.depth_n)

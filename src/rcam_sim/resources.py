@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import M10K_BITS, RCU_SLOTS, SUB_WORD_BITS, GeometryError
+from .geometry import M10K_BITS, RCU_SLOTS, SUB_WORD_BITS, CamGeometry
 
 # Device capacity back-derived from a 74% utilization at 2,112 blocks.
 DEVICE_M10K_BLOCKS = 2854
@@ -63,32 +63,18 @@ class ResourceReport:
         return d
 
 
-def _blocks(depth_n: int, word_width_w: int, architecture: str) -> tuple[int, int]:
-    if depth_n % RCU_SLOTS:
-        raise GeometryError(f"depth {depth_n} not divisible by {RCU_SLOTS}")
-    if word_width_w % SUB_WORD_BITS:
-        raise GeometryError(f"width {word_width_w} not a multiple of 8")
-    rcu = (depth_n // RCU_SLOTS) * (word_width_w // SUB_WORD_BITS)
-    if architecture == "s1":
-        return rcu, rcu
-    if architecture in ("s2", "s3"):
-        return rcu, math.ceil(depth_n * word_width_w / M10K_BITS)
-    raise GeometryError(f"unknown architecture {architecture!r}")
-
-
-def m10k_report(shape: tuple[int, int], architecture: str) -> ResourceReport:
-    """Block counts for one architecture at one (depth, width) table shape."""
-    depth_n, word_width_w = shape
-    rcu, erase = _blocks(depth_n, word_width_w, architecture)
-    table_bits = depth_n * word_width_w
-    if architecture == "s1":
+def m10k_report(geometry: CamGeometry) -> ResourceReport:
+    """Block counts of one geometry: its RCUs, and its erase memory."""
+    rcu = geometry.rcu_count
+    if geometry.architecture == "s1":
+        erase = rcu
         # Each table holds 32 sub-words = 256 bits of an 8,192-bit block.
         utilization = RCU_SLOTS * SUB_WORD_BITS / M10K_BITS
     else:
-        utilization = table_bits / (erase * M10K_BITS)
-    s1_total = 2 * rcu
+        erase = math.ceil(geometry.table_bits / M10K_BITS)
+        utilization = geometry.table_bits / (erase * M10K_BITS)
     return ResourceReport(
-        architecture=architecture, depth_n=depth_n, word_width_w=word_width_w,
-        rcu_blocks=rcu, erase_blocks=erase,
+        architecture=geometry.architecture, depth_n=geometry.depth_n,
+        word_width_w=geometry.word_width_w, rcu_blocks=rcu, erase_blocks=erase,
         erase_ram_utilization=utilization,
-        saving_vs_s1=1.0 - (rcu + erase) / s1_total)
+        saving_vs_s1=1.0 - (rcu + erase) / (2 * rcu))

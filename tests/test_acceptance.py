@@ -98,10 +98,10 @@ def test_criterion_3_s3_catch_up():
 def test_criterion_4_resource_reproduction():
     for shape in SWEEP:
         for arch in ("s2", "s3"):
-            assert m10k_report(shape, arch).total_m10k == 2112
-    s1 = m10k_report((65536, 8), "s1")
+            assert m10k_report(geometry_for(arch, *shape)).total_m10k == 2112
+    s1 = m10k_report(geometry_for("s1", 65536, 8))
     assert s1.total_m10k == 4096
-    saving = m10k_report((65536, 8), "s2").saving_vs_s1
+    saving = m10k_report(geometry_for("s2", 65536, 8)).saving_vs_s1
     assert abs(saving - 0.484) <= 0.001
     assert s1.erase_ram_utilization == 256 / 8192
     assert abs(s1.erase_ram_utilization - 0.032) <= 0.001

@@ -6,7 +6,10 @@ A refactor that renames or drops one of them breaks the traced benchmark
 run, so this suite checks the list against the library of this checkout.
 ``perfbench/workloads.py`` builds its run configs through the library's
 config validation; stricter validation must not reject them, or every
-benchmark op fails.  Both files are loaded from disk and only read.
+benchmark op fails.  One traced op of each workload must match the recorded
+fingerprint and yield its layer metrics, as a ``--trace 1`` run needs: the
+tracer's counter hooks read the wrapped calls' return values.  Both files
+are loaded from disk and only read.
 """
 
 import importlib.util
@@ -50,3 +53,16 @@ def test_workload_configs_build(tmp_path):
         trace_path=str(tmp_path / "trace-{arch}.jsonl"))
     assert trace.record_events and not trace.verify_oracle
     assert trace.architectures == workloads.ARCHS
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_a_traced_op_matches_the_fingerprint(name, tmp_path):
+    seed = workloads.DEFAULT_SEED
+    op = workloads.prepare(name, seed, tmp_path)
+    recorder = tracing.SpanRecorder()
+    with recorder.installed(), recorder.op(0):
+        output = op()
+    got = workloads.digest(name, output)
+    assert workloads.check(name, seed, got, workloads.load_fingerprint()) == []
+    metrics = tracing.layer_metrics(recorder.spans)
+    assert metrics.keys() == tracing.LAYER_UNITS.keys()

@@ -32,8 +32,8 @@ def test_per_unit_bank_round_trip():
     words = np.random.default_rng(1).integers(0, 1 << 16, size=1024).astype(np.uint64)
     bank.store_words(words)
     assert np.array_equal(bank.stored_words(), words)
-    bank.stored_words()[0] ^= np.uint64(1)  # reads are copies
-    assert np.array_equal(bank.stored_words(), words)
+    words[0] ^= np.uint64(1)  # the store keeps its own table
+    assert bank.stored_words()[0] == words[0] ^ np.uint64(1)
     # per-unit table of word v: RCU v//32, slot v%32, one byte per slice
     engine = RcamEngine(g)
     engine.update(words)
@@ -48,9 +48,9 @@ def test_central_load_returns_old_row():
     # s2: 2,048 x 256-bit rows; the erase pass reads the previous table
     g = geometry_for("s2", 65536, 8)
     engine = RcamEngine(g)
-    assert _rows(engine, g.words_per_bus_beat).shape == (2048, 32)
     first, second = generate_payload(1, g), generate_payload(2, g)
     engine.update(first)
+    assert _rows(engine, g.words_per_bus_beat).shape == (2048, 32)
     assert np.array_equal(engine.eram.stored_words(), first)
     engine.update(second)
     assert np.array_equal(_rows(engine, 32)[0], second[:32])
@@ -113,7 +113,6 @@ def test_hpart_regrouping_oracle(depth, width):
 def test_hpart_wide_read_is_concatenation():
     g = geometry_for("s3", 8192, 64)
     store = EraseStore(g)
-    assert not store.stored_words().any()  # fresh store reads zero
     wb, k = g.words_per_bus_beat, g.words_per_beat_k
     words = np.arange(g.depth_n, dtype=np.uint64)
     store.store_words(words)
@@ -151,6 +150,26 @@ def test_read_before_write_call_order():
     reference = ReferenceCam(8192, 8)
     reference.load_full(second)
     assert equivalence_check(engine.cam, reference, first[:128]).passed
+
+
+def test_a_fresh_store_holds_no_table():
+    assert EraseStore(geometry_for("s2", 1024, 8)).stored_words() is None
+
+
+@pytest.mark.parametrize("width,dtype", [
+    (8, np.uint8), (16, np.uint16), (24, np.uint32), (32, np.uint32),
+    (40, np.uint64), (64, np.uint64),
+])
+def test_the_store_keeps_a_read_only_table_at_its_word_width(width, dtype):
+    g = geometry_for("s1", 64, width, bus_width_b=width)
+    store = EraseStore(g)
+    words = np.arange(g.depth_n, dtype=np.uint64) * np.uint64(g.word_mask // 64)
+    store.store_words(words)
+    stored = store.stored_words()
+    assert stored.dtype == np.min_scalar_type(g.word_mask) == dtype
+    assert np.array_equal(stored, words)
+    with pytest.raises(ValueError, match="read-only"):
+        stored[0] = 1
 
 
 @given(st.sampled_from([8, 16, 32, 64]),

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rcam_sim.geometry import (MAX_DEPTH, CamGeometry, GeometryError,
-                               feasible_partitions, geometry_for)
+                               byte_slices, feasible_partitions, geometry_for)
 
 from cam_helpers import map_word_index, word_index_of
 
@@ -130,3 +131,26 @@ def test_bijection_property(arch, depth, width, salt):
     g = geometry_for(arch, depth, width)
     word = (salt * 7919) % depth
     assert word_index_of(g, *map_word_index(g, word)) == word
+
+
+@given(hnp.arrays(st.sampled_from(["u1", "<u2", ">u2", "<u4", ">u4", "<u8",
+                                   ">u8"]).map(np.dtype),
+                  hnp.array_shapes(min_dims=1, max_dims=2, min_side=0)),
+       st.integers(1, 3))
+@settings(max_examples=200)
+def test_byte_slices_are_the_shifted_bytes(words, stride):
+    # every unsigned width and byte order; strided, empty and 2-D inputs
+    # (2-D uint32 arrays are the RCU slot masks)
+    words = words[::stride]
+    octets = byte_slices(words)
+    assert octets.shape == (*words.shape, words.itemsize)
+    wide = words.astype(np.uint64)
+    for c in range(words.itemsize):
+        assert np.array_equal(octets[..., c],
+                              (wide >> np.uint64(8 * c)) & np.uint64(0xFF))
+
+
+def test_byte_slices_view_contiguous_little_endian_words():
+    words = np.arange(8, dtype="<u8")
+    byte_slices(words)[:, 1] = 1  # a view: writes reach the words
+    assert np.array_equal(words, np.arange(8) + 256)

@@ -53,6 +53,16 @@ def test_round_trip(tmp_path):
         assert np.array_equal(load_payload(path, g), payload)
 
 
+def test_save_refuses_words_wider_than_the_table(tmp_path):
+    # a word of 9+ bits in an 8-bit table is refused, not truncated to its
+    # low byte (word 256 would read back as 0)
+    g = geometry_for("s2", 1024, 8)
+    path = tmp_path / "p.bin"
+    with pytest.raises(PayloadError, match="exceeds 8 bits"):
+        save_payload(path, np.arange(1024), g)
+    assert not path.exists()
+
+
 def test_little_endian_field_layout(tmp_path):
     g = geometry_for("s2", 1024, 16)
     payload = np.zeros(1024, dtype=np.uint64)
