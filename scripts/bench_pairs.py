@@ -6,15 +6,18 @@
     python3 scripts/bench_pairs.py --parent REV --outside --pairs N \\
         --seed K --out BENCH_<pr>.json
 
-Exports the tree of git revision REV into a temporary directory (with
-``git archive``, so the repository gains no worktree entry) and replaces
-its ``perfbench/`` and ``BENCHMARK.json`` with this checkout's (without
+Builds two sibling trees in one temporary directory, ``parent/`` and
+``change/``, so that neither side runs from a path of another length or
+place.  ``parent/`` is the tree of git revision REV (exported with
+``git archive``, so the repository gains no worktree entry) with its
+``perfbench/`` and ``BENCHMARK.json`` replaced by this checkout's (without
 ``perfbench/out/``), so that both sides run one harness and differ only in
 ``src/``.  The trade-off: a harness that calls API the parent lacks fails
-on the parent side.  It then runs
-``perfbench/run.py --workload NAME --seed K --seconds S --trace 0`` there
-and in this checkout, N pairs of runs: the parent goes first in odd pairs
-and the change in even ones.  Each run's result line (the JSON line
+on the parent side.  ``change/`` is a copy of this working tree without
+``.git``, ``perfbench/out`` or ``__pycache__``.  It then runs
+``perfbench/run.py --workload NAME --seed K --seconds S --trace 0`` in
+each tree, N pairs of runs: the parent goes first in odd pairs and the
+change in even ones.  Each run's result line (the JSON line
 ``run.py`` prints last) goes into ``runs``.  ``summary[NAME]`` gives, for
 each end-to-end metric of ``BENCHMARK.json``, each side's median and
 quartiles (``statistics.quantiles``, n=4), the relative change of the
@@ -88,6 +91,20 @@ def export_parent(root: Path, rev: str, dest: Path) -> None:
     shutil.copytree(root / "perfbench", dest / "perfbench",
                     ignore=shutil.ignore_patterns("out", "__pycache__"))
     shutil.copyfile(root / "BENCHMARK.json", dest / "BENCHMARK.json")
+
+
+def sibling_trees(root: Path, rev: str, dest: Path) -> dict[str, Path]:
+    """Write ``dest/parent``, the tree of ``rev`` as ``export_parent``
+    writes it, and ``dest/change``, a copy of ``root``'s working tree
+    without ``.git``, ``perfbench/out`` or ``__pycache__``; return both by
+    side.  The side names are of equal length."""
+    trees = {side: dest / side for side in SIDES}
+    trees["parent"].mkdir()
+    export_parent(root, rev, trees["parent"])
+    shutil.copytree(root, trees["change"], ignore=lambda folder, names: [
+        name for name in names if name in (".git", "__pycache__")
+        or (name == "out" and Path(folder) == root / "perfbench")])
+    return trees
 
 
 def run_pairs(workload: str, seed: int, pairs: int, run) -> list[dict]:
@@ -194,9 +211,8 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
-        export_parent(ROOT, args.parent, Path(parent))
-        trees = {"parent": Path(parent), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        trees = sibling_trees(ROOT, args.parent, Path(scratch))
         if args.outside:
             records = run_pairs("outside", args.seed, args.pairs,
                                 lambda side: outside(trees[side], args.seed))

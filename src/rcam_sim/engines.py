@@ -19,13 +19,13 @@ and the quantised knobs alone.  ``timing`` refuses a schedule that ends
 elsewhere, and ``stall_cycles`` is the total minus the ideal-bus one.
 
 One :class:`RcamEngine` models the memory of every architecture and takes
-only a geometry.  Its ``update`` first takes ``timing`` on the ideal bus of
-the geometry's width, so that a schedule it refuses leaves the CAM as it
-was.  It then checks the payload, runs the erase pass over the old table,
-the erase-store swap and the write pass, and returns that ideal-bus trace,
-without events.  A CAM never written holds no bit, so while its erase store
-holds no table an update skips the erase pass, which subtracts only bits
-that are set and would change no cell.
+only a geometry.  Its ``update`` checks the payload, runs the erase pass
+over the old table, the erase-store swap and the write pass, and returns
+``timing`` on the ideal bus of the geometry's width, without events: the
+benchmark's tracer (``perfbench/tracing.py``) reads that trace.  A CAM
+never written holds no bit, so while its erase store holds no table an
+update skips the erase pass, which subtracts only bits that are set and
+would change no cell.
 
 The sorted (cycle, rank, arg) arrays are the trace's only event record.
 :class:`EventColumns` holds them as read-only columns and writes them as
@@ -229,9 +229,10 @@ class RcamEngine:
     def update(self, payload) -> UpdateTrace:
         """Run one full-table update; return its ideal-bus trace.
 
-        The schedule is taken first, so that one it refuses leaves the CAM
-        as it was.  The erase pass is skipped while the store holds no
-        table: no write has begun, so the grid has no bit to clear.
+        The trace stays because the benchmark's tracer reads it; the
+        geometry's own ideal bus is never refused.  The erase pass is
+        skipped while the store holds no table: no write has begun, so the
+        grid has no bit to clear.
         """
         g = self.geometry
         trace = timing(g, ideal_bus(g.bus_width_b))

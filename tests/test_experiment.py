@@ -181,12 +181,12 @@ def test_oracle_divergence_aborts(monkeypatch):
 
     hits = exp.ReferenceCam.hits
 
-    def broken_hits(self, keys):
-        counts, words = hits(self, keys)
-        # corrupt the reference: word 0 flips in every key's hit list
-        per_key = [np.setxor1d(w, [0])
-                   for w in np.split(words, np.cumsum(counts)[:-1])]
-        return np.array([w.size for w in per_key]), np.concatenate(per_key)
+    def broken_hits(self, first, counts):
+        words = hits(self, first, counts)
+        # corrupt the reference: each run's first hit word becomes word 0
+        starts = (np.cumsum(counts) - counts)[counts > 0]
+        words[starts] = 0
+        return words
 
     monkeypatch.setattr(exp.ReferenceCam, "hits", broken_hits)
     config = ExperimentConfig(**SMALL, architectures=("s2",))

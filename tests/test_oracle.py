@@ -18,7 +18,7 @@ from cam_helpers import poke_word, scan
 
 def test_search_before_load_full_is_refused():
     ref = ReferenceCam(64, 8)
-    for lookup in (ref.search_batch, ref.hit_counts, ref.hits):
+    for lookup in (ref.search_batch, ref.spans):
         with pytest.raises(ValueError, match="before load_full"):
             lookup(np.array([0], dtype=np.uint64))
     engine = RcamEngine(geometry_for("s1", 64, 8))
@@ -94,7 +94,9 @@ def test_double_entry_against_independent_scan():
     ref.load_full(table)
     keys = rng.integers(0, 1 << 16, size=64).astype(np.uint64)
     keys[:32] = table[rng.integers(500, size=32)]  # these hit
-    counts, words = ref.hits(keys)
+    runs, ends = ref.spans(keys)
+    counts = ends - runs
+    words = ref.hits(runs, counts)
     ends = np.cumsum(counts)
     for key, match, end, count in zip(keys.tolist(), ref.search_batch(keys),
                                       ends.tolist(), counts.tolist()):
@@ -112,11 +114,15 @@ def test_update_order_independence_for_full_tables():
     a.load_full(payload)
     b = ReferenceCam(128, 8)
     b.load_full(other)
-    b.hits(keys)  # builds the sorted index of the first table
+    b.spans(keys)  # builds the sorted index of the first table
     b.load_full(payload)
     assert np.array_equal(a.search_batch(keys), b.search_batch(keys))
-    for got, want in zip(a.hits(keys), b.hits(keys)):
+    spans = a.spans(keys)
+    for got, want in zip(spans, b.spans(keys)):
         assert np.array_equal(got, want)
+    runs, ends = spans
+    assert np.array_equal(a.hits(runs, ends - runs),
+                          b.hits(runs, ends - runs))
 
 
 def test_equivalence_check_pass_and_fault_injection():
@@ -268,14 +274,14 @@ def test_compare_gives_the_dense_verdict(arch, depth, width, data):
 
 
 def _spy_hits(monkeypatch, ref):
-    """Record (keys, hits) of every ``ref.hits`` call."""
+    """Record (runs, hits) of every ``ref.hits`` call."""
     calls = []
     hits = ref.hits
 
-    def counted_hits(keys):
-        counts, words = hits(keys)
-        calls.append((keys.size, words.size))
-        return counts, words
+    def counted_hits(first, counts):
+        words = hits(first, counts)
+        calls.append((first.size, words.size))
+        return words
 
     monkeypatch.setattr(ref, "hits", counted_hits)
     return calls
@@ -311,9 +317,12 @@ def test_hit_budget_counts_each_distinct_key_once(monkeypatch):
     half = g.depth_n // 2
     monkeypatch.setattr(oracle, "_HIT_BUDGET", half)
     calls = _spy_hits(monkeypatch, ref)
+    searches = _spy_searches(monkeypatch, engine)
     keys = np.array([0x5A, 0x5A, 0xA5, 0xA5, 0x5A, 0x11], dtype=np.uint64)
     assert equivalence_check(engine.cam, ref, keys).passed
-    # in value order: 0x11 (no hits) and 0x5A, then 0xA5
+    # one search of the key chunk, and its hits in slices, in value order:
+    # 0x11 (no hits) and 0x5A, then 0xA5
+    assert searches == [[0x11, 0x5A, 0xA5]]
     assert calls == [(2, half), (1, half)]
 
 
@@ -389,7 +398,7 @@ def test_compare_memory_is_flat_in_the_key_count():
     engine.update(payload)
     ref = ReferenceCam(g.depth_n, 8)
     ref.load_full(payload)
-    ref.hits(payload[:1])  # the sorted index lives as long as the table
+    ref.spans(payload[:1])  # the sorted index lives as long as the table
     rng = np.random.default_rng(0)
     peaks = []
     for count in (1_000, 20_000, 100_000):

@@ -4,9 +4,14 @@ import csv
 import hashlib
 import importlib.util
 import json
+import os
+import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from test_golden_reports import GOLDEN
 
@@ -110,9 +115,9 @@ def test_bench_pairs_outside_measures_each_tree():
 
 def test_bench_pairs_runs_this_harness_on_the_parent(tmp_path):
     # a parent commit, then a change to its source and its harness that
-    # also leaves benchmark output behind
+    # also leaves benchmark output and bytecode behind
     script = _load("bench_pairs")
-    root, export = tmp_path / "repo", tmp_path / "export"
+    root, scratch = tmp_path / "repo", tmp_path / "scratch"
     parent = {"src/pkg/core.py": "parent", "perfbench/run.py": "parent",
               "perfbench/gone.py": "parent", "BENCHMARK.json": "parent"}
     for name, text in parent.items():
@@ -128,10 +133,43 @@ def test_bench_pairs_runs_this_harness_on_the_parent(tmp_path):
     (root / "perfbench/gone.py").unlink()
     (root / "perfbench/out").mkdir()
     (root / "perfbench/out/result.json").write_text("{}")
-    export.mkdir()
-    script.export_parent(root, "HEAD", export)
+    (root / "src/pkg/__pycache__").mkdir()
+    (root / "src/pkg/__pycache__/core.pyc").write_text("")
+    (root / "src/pkg/out").mkdir()  # only perfbench/out is benchmark output
+    scratch.mkdir()
+    trees = script.sibling_trees(root, "HEAD", scratch)
+    # both sides run from sibling paths of one length
+    assert trees == {"parent": scratch / "parent", "change": scratch / "change"}
+    export, change = trees["parent"], trees["change"]
     assert (export / "src/pkg/core.py").read_text() == "parent"
     assert (export / "perfbench/run.py").read_text() == "change"
     assert (export / "BENCHMARK.json").read_text() == "change"
     assert sorted(p.name for p in (export / "perfbench").iterdir()) == [
         "run.py"]
+    # the change is the working tree, uncommitted edits included
+    assert sorted(str(p.relative_to(change)) for p in change.rglob("*")) == [
+        "BENCHMARK.json", "perfbench", "perfbench/run.py", "src", "src/pkg",
+        "src/pkg/core.py", "src/pkg/out"]
+    assert (change / "src/pkg/core.py").read_text() == "change"
+
+
+@pytest.mark.skipif(
+    platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+    reason="the fault count depends on glibc's heap trimming")
+def test_the_flagship_op_keeps_its_heap_placement(monkeypatch, tmp_path):
+    # glibc trims the heap after a compare unless a long-lived block sits
+    # above its temporaries; the next op then faults the pages in again.
+    # Placements that keep the heap read about 1,100 minor faults an op;
+    # the bad ones read 3,400 and more.  The tree's path shifts the heap, so
+    # the op also runs from a copy at another location.
+    script = _load("bench_pairs")
+    for name in [n for n in os.environ if n.startswith("MALLOC_")]:
+        monkeypatch.delenv(name)
+    root = SCRIPTS.parent
+    for part in ("src", "configs"):
+        shutil.copytree(root / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    for tree in (root, tmp_path):
+        _, stdout, _ = script._child(tree, [
+            "-c", script._FLAGSHIP_LOOP, "65536", "1", "5"])
+        assert json.loads(stdout)["minflt"] < 2000, tree
