@@ -140,8 +140,6 @@ def stream_schedule(bus: BusModel, beat_count: int) -> np.ndarray:
     if beat_count <= 0:
         raise BusError("beat_count must be positive")
     num = round(bus.stream_efficiency * ETA_RESOLUTION)
-    if num >= ETA_RESOLUTION:
-        return np.arange(beat_count, dtype=np.int64)
     credits = np.arange(1, beat_count + 1, dtype=np.int64) * ETA_RESOLUTION
     return -(-credits // num) - 1  # ceil division
 

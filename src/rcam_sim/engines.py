@@ -1,31 +1,31 @@
 """Cycle schedules of the three CAM architectures, and their one engine.
 
 The three architectures differ only in *when* things happen, and payload
-values never change that.  ``_schedule`` holds every cycle schedule: from
-the geometry and the bus alone it builds the cycle of every bus beat, every
-erase (per word for s1, per erase-store row for s2/s3) and every write (per
-word for s1, per word group for s2/s3).  ``_trace`` builds the
-:class:`UpdateTrace` from them, and :func:`timing`, the two together, is
-the only code that turns a bus into a trace:
+values never change that.  :func:`timing` is the only code that turns a
+bus into a trace, and every summary number comes from O(1) closed forms
+of the geometry and the quantised knobs alone: :func:`cycle_total` gives
+the total and ``_spans`` the erase and write spans and the s3 catch-up;
+``stall_cycles`` is the total minus the ideal-bus one.
 
-* ``total_cycles`` is the last write cycle plus one;
-* the erase and write spans are the extremes of their arrays;
+``_schedule`` holds every cycle schedule and runs only to record events:
+from the geometry and the bus it builds the cycle of every bus beat, every
+erase (per word for s1, per erase-store row for s2/s3) and every write (per
+word for s1, per word group for s2/s3).  It is an independent model of the
+same update, so ``timing`` refuses a schedule whose erase and write
+extremes differ from the closed-form spans.  Its events follow two rules:
+
 * a stall is a cycle in [0, total) with neither an erase nor a write;
 * events merge by a stable sort on (cycle, kind rank), the rank being a
   per-architecture intra-cycle order (``_EVENT_ORDER``).
 
-:func:`cycle_total` gives that total in O(1) closed form from the geometry
-and the quantised knobs alone.  ``timing`` refuses a schedule that ends
-elsewhere, and ``stall_cycles`` is the total minus the ideal-bus one.
-
 One :class:`RcamEngine` models the memory of every architecture and takes
 only a geometry.  Its ``update`` checks the payload, runs the erase pass
 over the old table, the erase-store swap and the write pass, and returns
-``timing`` on the ideal bus of the geometry's width, without events: the
-benchmark's tracer (``perfbench/tracing.py``) reads that trace.  A CAM
-never written holds no bit, so while its erase store holds no table an
-update skips the erase pass, which subtracts only bits that are set and
-would change no cell.
+``timing`` on the ideal bus of the geometry's width, without events, so
+from the closed forms alone: the benchmark's tracer
+(``perfbench/tracing.py``) reads that trace.  A CAM never written holds no
+bit, so while its erase store holds no table an update skips the erase
+pass, which subtracts only bits that are set and would change no cell.
 
 The sorted (cycle, rank, arg) arrays are the trace's only event record.
 :class:`EventColumns` holds them as read-only columns and writes them as
@@ -229,8 +229,9 @@ class RcamEngine:
     def update(self, payload) -> UpdateTrace:
         """Run one full-table update; return its ideal-bus trace.
 
-        The trace stays because the benchmark's tracer reads it; the
-        geometry's own ideal bus is never refused.  The erase pass is
+        The trace stays because the benchmark's tracer reads it; it comes
+        from the closed forms, so no schedule is built, and the geometry's
+        own ideal bus is never refused.  The erase pass is
         skipped while the store holds no table: no write has begun, so the
         grid has no bit to clear.
         """
@@ -290,21 +291,59 @@ def check_traceable(total: int) -> None:
 def timing(geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
            prefetch_one_beat: bool = False,
            record_events: bool = False) -> UpdateTrace:
-    """The trace of one full-table update on ``bus``, from the cycle
-    schedule alone: this takes no payload and builds no engine.
-    ``prefetch_one_beat`` is the s1 sensitivity knob of ``demand_schedule``.
-    A schedule whose total differs from :func:`cycle_total` is refused, and
-    so are events for an update longer than ``MAX_TRACE_CYCLES``.
-    """
-    total = cycle_total(geometry, bus, prefetch_one_beat)
+    """The trace of one full-table update on ``bus``, from the closed forms
+    alone: this takes no payload and builds no engine.  Only
+    ``record_events`` builds the cycle schedule, which is refused unless its
+    extremes are the closed-form spans; so are events for an update longer
+    than ``MAX_TRACE_CYCLES``.  ``prefetch_one_beat`` is the s1 sensitivity
+    knob of ``demand_schedule``."""
+    g = geometry
+    total = cycle_total(g, bus, prefetch_one_beat)
+    spans, catch_up = _spans(g, bus, total)
+    events = None
     if record_events:
         check_traceable(total)
-    return _trace(geometry, total,
-                  *_schedule(geometry, bus, prefetch_one_beat), record_events)
+        beats, *phases = _schedule(g, bus, prefetch_one_beat)
+        extremes = tuple((int(a.min()), int(a.max())) for a in phases)
+        if extremes != spans:
+            raise EngineError(
+                f"schedule spans {extremes}, the closed form {spans}")
+        events = _events(_EVENT_ORDER[g.architecture], total, beats, *phases)
+    return UpdateTrace(
+        architecture=g.architecture, depth_n=g.depth_n,
+        word_width_w=g.word_width_w, total_cycles=total,
+        bus_read_cycles=g.beat_count,
+        stall_cycles=total - cycle_total(g, ideal_bus(g.bus_width_b)),
+        erase_span=spans[0], write_span=spans[1], catch_up_cycles=catch_up,
+        events=events)
+
+
+def _spans(g: CamGeometry, bus: BusModel, total: int):
+    """The (erase span, write span) and the s3 catch-up of an update of
+    ``total`` cycles, in closed form at eta = e/1000 and overhead = o/100,
+    with c(x) = ceil(1000x/e) the cycles until x beats have streamed."""
+    if g.architecture == "s1":
+        # Word 0 waits stall 0, floor(o/100); the last write ends the update.
+        first = (round(bus.burst_overhead_cycles * OVERHEAD_RESOLUTION)
+                 // OVERHEAD_RESOLUTION)
+        return ((first, total - 2), (first + 1, total - 1)), None
+    e = round(bus.stream_efficiency * ETA_RESOLUTION)
+    if g.architecture == "s2":  # the total is c(B) + B
+        last = total - g.beat_count - 1
+        return ((-(-ETA_RESOLUTION // e) - 1, last), (last + 1, total - 1)), None
+    # Group j is ready at c((j+1)P) and written at max(G + j, ready) while
+    # the backlog of the erase pass lasts, and ready - j never falls as j
+    # grows.  So the backlog has drained at once (length 1) when the first
+    # group is late, and otherwise at the first j in [1, G) with
+    # (j+1)a > (G+j)e, a = 1000P (length j + 1), or after the last write.
+    groups, a = g.erase_row_count, ETA_RESOLUTION * g.partitions_p
+    j = (groups * e - a) // (a - e) + 1 if a > e else groups
+    catch_up = 1 if a > groups * e else min(j, groups) + 1
+    return ((0, groups - 1), (max(-(-a // e), groups), total - 1)), catch_up
 
 
 def _schedule(g: CamGeometry, bus: BusModel, prefetch_one_beat: bool):
-    """The (beats, erases, writes, catch-up) schedule of one update.
+    """The (beats, erases, writes) schedule of one update.
 
     ``beats[b]`` is the arrival cycle of bus beat b; ``erases[i]`` and
     ``writes[i]`` are the cycles of erase i and write i, which handle word i
@@ -316,41 +355,20 @@ def _schedule(g: CamGeometry, bus: BusModel, prefetch_one_beat: bool):
         # Word o of a beat is erased 2*o cycles into the beat and written
         # the cycle after.
         erases = (beats[:, None] + 2 * np.arange(wb)).ravel()
-        return beats, erases, erases + 1, None
+        return beats, erases, erases + 1
     beats = stream_schedule(bus, g.beat_count)
     if g.architecture == "s2":
         # Phase E: beat r lands in erase-store row r while the old row clears
         # its k words the same cycle (dual-port read-before-write).  Phase W:
         # one row per cycle, starting right after the last erase.
         writes = np.arange(g.beat_count, dtype=np.int64) + (int(beats[-1]) + 1)
-        return beats, beats, writes, None
+        return beats, beats, writes
     return (beats, np.arange(g.erase_row_count, dtype=np.int64),
-            *_s3_writes(g, beats))
+            _s3_writes(g, beats))
 
 
-def _trace(g: CamGeometry, total: int, beats: np.ndarray,
-           erases: np.ndarray, writes: np.ndarray, catch_up: int | None,
-           record_events: bool) -> UpdateTrace:
-    last_write = int(writes.max())
-    if last_write + 1 != total:
-        raise EngineError(f"schedule takes {last_write + 1} cycles, the "
-                          f"closed form {total}")
-    events = None
-    if record_events:
-        events = _events(_EVENT_ORDER[g.architecture], total, beats, erases,
-                         writes)
-    return UpdateTrace(
-        architecture=g.architecture, depth_n=g.depth_n,
-        word_width_w=g.word_width_w, total_cycles=total,
-        bus_read_cycles=beats.size,
-        stall_cycles=total - cycle_total(g, ideal_bus(g.bus_width_b)),
-        erase_span=(int(erases.min()), int(erases.max())),
-        write_span=(int(writes.min()), last_write),
-        catch_up_cycles=catch_up, events=events)
-
-
-def _s3_writes(g: CamGeometry, avail: np.ndarray) -> tuple[np.ndarray, int]:
-    """Write cycle of each s3 word group, and the catch-up length."""
+def _s3_writes(g: CamGeometry, avail: np.ndarray) -> np.ndarray:
+    """Write cycle of each s3 word group."""
     groups = g.erase_row_count
     # The erase pass reads old contents only, so beat arrival never gates
     # it.  Beat b lands in row b // P no earlier than cycle b >= b // P,
@@ -365,15 +383,7 @@ def _s3_writes(g: CamGeometry, avail: np.ndarray) -> tuple[np.ndarray, int]:
     ready = avail[g.partitions_p - 1::g.partitions_p] + 1
     base = np.maximum(ready, groups)
     idx = np.arange(groups, dtype=np.int64)
-    writes = np.maximum.accumulate(base - idx) + idx
-    # First write-side idle cycle at/after the write start: the moment
-    # the backlog accumulated during the erase pass has drained.
-    if int(writes[0]) > groups:
-        caught_up = groups
-    else:
-        gaps = np.flatnonzero(np.diff(writes) > 1)
-        caught_up = int(writes[gaps[0] if gaps.size else -1]) + 1
-    return writes, caught_up - (groups - 1)
+    return np.maximum.accumulate(base - idx) + idx
 
 
 # Intra-cycle event order of each architecture.  In s1 and s2 a beat lands

@@ -319,7 +319,7 @@ def run_experiment(config: ExperimentConfig,
                    calibration: CalibrationResult | None = None) -> EfficiencyReport:
     """Run the selected architectures at one geometry and report.
 
-    Every trace comes from the cycle schedule (``timing``).  An engine is
+    Every trace summary is closed-form (``timing``).  An engine is
     built and updated only to verify the table against the reference; any
     oracle divergence aborts the run with diagnostics.  The architectures
     share N, W and the seed, so one payload, reference and key sample serve

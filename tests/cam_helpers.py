@@ -1,14 +1,28 @@
-"""Reads and writes of CAM state, and reads of trace events, that only the
-tests need.
+"""Reads and writes of CAM state, reads of trace events and a schedule
+refusal, that only the tests need.
 
-Each works on public attributes alone: the RCU cells and ``search_batch``
-of an ``RcamArray``, the ``cam`` of an ``RcamEngine``, the word table of a
-``ReferenceCam`` and the columns of an ``EventColumns``.
+Each read and write works on public attributes alone: the RCU cells and
+``search_batch`` of an ``RcamArray``, the ``cam`` of an ``RcamEngine``, the
+word table of a ``ReferenceCam`` and the columns of an ``EventColumns``.
+The refusal patches the schedule builders of ``engines`` and ``bus``.
 """
 
 import numpy as np
 
+from rcam_sim import engines
+from rcam_sim.bus import StallSequence
 from rcam_sim.geometry import RCU_SLOTS, GeometryError
+
+
+def refuse_schedules(monkeypatch, *names):
+    """Make the cycle schedule, and the ``engines`` attributes ``names``,
+    raise when called: what runs then takes no schedule."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a schedule")
+
+    for name in ("_schedule", "stream_schedule", *names):
+        monkeypatch.setattr(engines, name, refuse)
+    monkeypatch.setattr(StallSequence, "take", refuse)
 
 
 def column_occupancy(cam) -> np.ndarray:

@@ -17,7 +17,7 @@ from rcam_sim.payload import generate_payload
 from rcam_sim.rcu import RcamArray
 
 from cam_helpers import (apply_words, before_write_pass, column_occupancy,
-                         event_tuples, poke_word, search)
+                         event_tuples, poke_word, refuse_schedules, search)
 
 GRID = [(1024, 8), (1024, 64), (2048, 16), (4096, 8), (4096, 32), (8192, 64)]
 
@@ -87,22 +87,16 @@ def test_monotone_speedup():
 
 # -- closed forms: an oracle for the schedules ---------------------------------
 
-def _s3_catch_up(g: CamGeometry, eta_num: int) -> int:
-    """The s3 catch-up length in closed form, at eta = eta_num/1000.
-
-    Write j lands at max(G + j, ready(j)), ready(j) = ceil((j+1)P/eta)
-    being the cycle after its last beat, and ready(j) - j never falls as j
-    grows.  So the backlog has drained at once (length 1) when the first
-    group is late, and otherwise at the first j in [1, G) with
-    ready(j) - j > G (length j + 1), or after the last write (G + 1).
-    """
-    groups, p = g.erase_row_count, g.partitions_p
-    j = np.arange(groups, dtype=np.int64)
-    ready = -(-(j + 1) * p * ETA_RESOLUTION // eta_num)
-    if ready[0] > groups:
-        return 1
-    late = np.flatnonzero(ready[1:] - j[1:] > groups)
-    return int(late[0]) + 2 if late.size else groups + 1
+def _gap_catch_up(writes: np.ndarray, groups: int) -> int:
+    """The s3 catch-up read off the write schedule: the first write-side
+    idle cycle at or after the write start, the moment the backlog of the
+    erase pass has drained, counted from the last erase."""
+    if int(writes[0]) > groups:
+        caught_up = groups
+    else:
+        gaps = np.flatnonzero(np.diff(writes) > 1)
+        caught_up = int(writes[gaps[0] if gaps.size else -1]) + 1
+    return caught_up - (groups - 1)
 
 
 @st.composite
@@ -129,7 +123,7 @@ def timed_points(draw):
 FLAGSHIP_BUS = calibrated_bus(0.976, 1.9)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(timed_points())
 @example((geometry_for("s1", 65536, 8), FLAGSHIP_BUS, False))
 @example((geometry_for("s1", 65536, 8), FLAGSHIP_BUS, True))
@@ -141,24 +135,32 @@ FLAGSHIP_BUS = calibrated_bus(0.976, 1.9)
 @example((geometry_for("s2", 1 << 20, 8), FLAGSHIP_BUS, False))
 @example((geometry_for("s3", 1 << 20, 8), ideal_bus(), False))
 @example((geometry_for("s3", 1 << 20, 8), calibrated_bus(0.001, 0), False))
+# 1000P = G*eta*1000: the first group is ready as the erase pass ends
+@example((geometry_for("s3", 4096, 8), calibrated_bus(0.125, 0), False))
 def test_closed_forms_match_the_schedules(point):
+    # every summary field is a closed form; the schedule is the second model
     g, bus, prefetch = point
-    writes = engines._schedule(g, bus, prefetch)[2]
+    beats, erases, writes = engines._schedule(g, bus, prefetch)
     trace = timing(g, bus, prefetch)
     total = cycle_total(g, bus, prefetch)
     assert int(writes.max()) + 1 == trace.total_cycles == total
+    assert trace.bus_read_cycles == beats.size
+    assert trace.erase_span == (int(erases.min()), int(erases.max()))
+    assert trace.write_span == (int(writes.min()), int(writes.max()))
     assert trace.stall_cycles == total - cycle_total(
         g, ideal_bus(g.bus_width_b))
     if g.architecture == "s3":
-        eta = round(bus.stream_efficiency * ETA_RESOLUTION)
-        assert trace.catch_up_cycles == _s3_catch_up(g, eta)
+        assert trace.catch_up_cycles == _gap_catch_up(writes,
+                                                      g.erase_row_count)
+    else:
+        assert trace.catch_up_cycles is None
 
 
 def test_closed_forms_give_the_reported_figures():
     flagship = {a: geometry_for(a, 65536, 8) for a in ARCHITECTURES}
     assert [cycle_total(g) for g in flagship.values()] == [131072, 4096, 2049]
-    assert _s3_catch_up(flagship["s3"], ETA_RESOLUTION) == 37
-    assert _s3_catch_up(geometry_for("s3", 1 << 20, 8), ETA_RESOLUTION) == 586
+    assert timing(flagship["s3"]).catch_up_cycles == 37
+    assert timing(geometry_for("s3", 1 << 20, 8)).catch_up_cycles == 586
     # s1 at 8,192x64: 9.9 cycles a beat, or 8 with the prefetch
     g = geometry_for("s1", 8192, 64)
     assert cycle_total(g, calibrated_bus(1.0, 1.9)) == 16384 + 3891
@@ -168,16 +170,18 @@ def test_closed_forms_give_the_reported_figures():
 def test_timing_refuses_a_schedule_off_the_closed_form(monkeypatch):
     schedule = engines._schedule
 
-    def last_write_late(g, bus, prefetch):
-        beats, erases, writes, catch_up = schedule(g, bus, prefetch)
-        writes = writes.copy()
-        writes[-1] += 1
-        return beats, erases, writes, catch_up
+    def moved(phase, index, *args):  # one entry a cycle late
+        arrays = list(schedule(*args))
+        arrays[phase] = arrays[phase].copy()
+        arrays[phase][index] += 1
+        return tuple(arrays)
 
-    monkeypatch.setattr(engines, "_schedule", last_write_late)
-    for arch in ARCHITECTURES:
-        with pytest.raises(EngineError, match="closed form"):
-            timing(geometry_for(arch, 2048, 16))
+    for phase, index in ((2, -1), (1, 0)):  # the last write, the first erase
+        monkeypatch.setattr(engines, "_schedule",
+                            lambda *args: moved(phase, index, *args))
+        for arch in ARCHITECTURES:
+            with pytest.raises(EngineError, match="closed form"):
+                timing(geometry_for(arch, 2048, 16), record_events=True)
 
 
 # -- functional correctness ---------------------------------------------------
@@ -351,17 +355,13 @@ def test_erase_precedes_write_for_every_word(arch):
 
 def test_s3_refuses_a_beat_before_its_index(monkeypatch):
     # the erase pass snapshot is cycle-exact only if no beat lands early;
-    # the check must survive python -O, so it is no assert
+    # the check must survive python -O, so it is no assert.  Only a traced
+    # update builds the schedule; test_bus.py checks every stream for it
     g = geometry_for("s3", 2048, 8)
-    engine = RcamEngine(g)
     monkeypatch.setattr("rcam_sim.engines.stream_schedule",
                         lambda bus, count: np.zeros(count, dtype=np.int64))
     with pytest.raises(EngineError, match="before the cycle of its index"):
-        engine.update(generate_payload(1, g))
-    with pytest.raises(EngineError, match="before the cycle of its index"):
-        timing(g)
-    # the schedule is refused before either pass touches the CAM
-    assert not engine.cam.cells.any()
+        timing(g, record_events=True)
 
 
 def test_s3_write_waits_for_beats_and_erase():
@@ -408,17 +408,20 @@ def test_trace_determinism():
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
-def test_update_returns_the_ideal_bus_timing(arch):
-    # the engines model only the memory: their trace is timing(geometry)
+def test_update_returns_the_ideal_bus_timing(arch, monkeypatch):
+    # the engines model only the memory: their trace is timing(geometry),
+    # from the closed forms alone
     g = geometry_for(arch, 2048, 16)
+    refuse_schedules(monkeypatch)
     trace = RcamEngine(g).update(generate_payload(7, g))
     assert trace.summary() == timing(g).summary()
     assert trace.events is None
     assert timing(g, ideal_bus(), arch == "s1").events is None
 
 
-def test_update_times_the_geometry_bus_width():
+def test_update_times_the_geometry_bus_width(monkeypatch):
     g = geometry_for("s2", 1024, 8, bus_width_b=64)
+    refuse_schedules(monkeypatch)
     trace = RcamEngine(g).update(generate_payload(7, g))
     assert trace.summary() == timing(g, ideal_bus(64)).summary()
     assert trace.bus_read_cycles == 1024 * 8 // 64

@@ -18,6 +18,8 @@ from rcam_sim.geometry import GeometryError, geometry_for
 from rcam_sim.payload import generate_payload, save_payload
 from rcam_sim.rcu import RcamArray
 
+from cam_helpers import refuse_schedules
+
 SMALL = dict(depth_n=1024, word_width_w=8, key_count=128)
 
 
@@ -297,6 +299,21 @@ def test_unverified_runs_generate_no_payload(monkeypatch):
     monkeypatch.setattr(exp, "generate_payload", no_payload)
     report = run_experiment(ExperimentConfig(**SMALL, verify_oracle=False))
     assert [r.total_cycles for r in report.results] == [2048, 64, 64]
+
+
+def test_only_a_traced_run_builds_a_schedule(monkeypatch, tmp_path, capsys):
+    # every summary comes from the closed forms; the cycle schedule runs
+    # only to record events
+    from rcam_sim.cli import main
+
+    refuse_schedules(monkeypatch)
+    report = run_experiment(ExperimentConfig(**SMALL))
+    assert [r.total_cycles for r in report.results] == [2048, 64, 64]
+    assert all(r.oracle["passed"] for r in report.results)
+    assert main(["verify", "--iterations", "3"]) == 0
+    with pytest.raises(AssertionError, match="built a schedule"):
+        run_experiment(ExperimentConfig(**SMALL, verify_oracle=False,
+                                        trace_path=str(tmp_path / "t_{arch}")))
 
 
 def test_calibrated_mode_uses_shipped_defaults():
