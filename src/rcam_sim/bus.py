@@ -10,13 +10,14 @@ One schedule per access pattern:
   latency (precharge, row activation and the like, folded into one knob)
   (:func:`demand_schedule`).
 
-Both knobs are quantised once, when a :class:`BusModel` is built: eta to
-1/``ETA_RESOLUTION`` and the overhead to 1/``OVERHEAD_RESOLUTION`` (the
-calibration grid steps).  The schedules work in exact integer arithmetic at
-those resolutions, fractional overheads are realized deterministically as
-differences of floors, and :meth:`BusModel.describe` reports the values that
-were simulated.  Ideal mode pins eta = 1 and overhead = 0, which makes the
-stream schedule the identity and an on-demand access cost exactly one cycle.
+Both knobs are quantised once, when a :class:`BusModel` is built, and
+nowhere else: to the integers ``eta_units`` = round(eta * ``ETA_RESOLUTION``)
+and ``overhead_units`` = round(overhead * ``OVERHEAD_RESOLUTION``), the
+calibration grid steps.  The schedules and closed forms read only these, in
+exact integer arithmetic; fractional overheads are realized as differences
+of floors, and :meth:`BusModel.describe` reports the values simulated.
+Ideal mode pins eta = 1 and overhead = 0, which makes the stream schedule
+the identity and an on-demand access cost exactly one cycle.
 A bus refuses a clock that is not positive and finite (in Hz), and an
 overhead outside [0, ``MAX_BURST_OVERHEAD``], so that no stall sum can wrap.
 
@@ -31,7 +32,7 @@ counts, never stored independently:
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,16 +41,12 @@ class BusError(ValueError):
     """Raised for invalid bus configurations or request patterns."""
 
 
-# Knob resolutions, shared by BusModel, stream_schedule and StallSequence.
+# Knob resolutions: a knob is simulated as an integer count of these steps.
 ETA_RESOLUTION = 1000
 OVERHEAD_RESOLUTION = 100
 # Largest burst overhead in cycles; the int64 stall sums of a MAX_DEPTH
 # table cannot wrap below 8e10.
 MAX_BURST_OVERHEAD = 1e6
-
-
-def _quantise(value: float, resolution: int) -> float:
-    return round(value * resolution) / resolution
 
 
 @dataclass(frozen=True)
@@ -76,14 +73,18 @@ class BusModel:
         if self.mode == "ideal" and (self.stream_efficiency != 1.0
                                      or self.burst_overhead_cycles != 0.0):
             raise BusError("ideal mode implies eta = 1 and zero burst overhead")
-        eta = _quantise(self.stream_efficiency, ETA_RESOLUTION)
-        if eta == 0.0:
+        # The only quantisation; the integers are attributes, not fields.
+        e = round(self.stream_efficiency * ETA_RESOLUTION)
+        if e == 0:
             raise BusError(
                 f"stream_efficiency {self.stream_efficiency} rounds to 0 at "
                 f"the 1/{ETA_RESOLUTION} resolution")
-        object.__setattr__(self, "stream_efficiency", eta)
-        object.__setattr__(self, "burst_overhead_cycles", _quantise(
-            self.burst_overhead_cycles, OVERHEAD_RESOLUTION))
+        o = round(self.burst_overhead_cycles * OVERHEAD_RESOLUTION)
+        object.__setattr__(self, "eta_units", e)
+        object.__setattr__(self, "overhead_units", o)
+        object.__setattr__(self, "stream_efficiency", e / ETA_RESOLUTION)
+        object.__setattr__(self, "burst_overhead_cycles",
+                           o / OVERHEAD_RESOLUTION)
 
     def describe(self) -> dict:
         return {
@@ -106,21 +107,19 @@ def calibrated_bus(stream_efficiency: float, burst_overhead_cycles: float,
 
 
 def ideal_bus(bus_width_b: int = 256, clock_mhz: float = 100.0) -> BusModel:
-    return replace(IDEAL_BUS, bus_width_b=bus_width_b, clock_mhz=clock_mhz)
+    return BusModel(bus_width_b, clock_mhz)
 
 
 class StallSequence:
     """Deterministic integer realization of a fractional per-burst stall.
 
-    The mean is interpreted at ``OVERHEAD_RESOLUTION``.  Stall i is
-    floor((i+1) * mean) - floor(i * mean), in exact integer arithmetic, so
-    the realized sum over n bursts is floor(n * mean) regardless of n.
+    The mean is o/100 cycles at o = ``BusModel.overhead_units``, already
+    quantised.  Stall i is floor((i+1) * o/100) - floor(i * o/100), in exact
+    integer arithmetic, so the sum over n bursts is floor(n * o/100).
     """
 
-    def __init__(self, mean_cycles: float):
-        if mean_cycles < 0:
-            raise BusError("stall mean must be >= 0")
-        self._num = round(mean_cycles * OVERHEAD_RESOLUTION)
+    def __init__(self, overhead_units: int):
+        self._num = overhead_units
 
     def take(self, count: int) -> np.ndarray:
         floors = (np.arange(count + 1, dtype=np.int64) * self._num
@@ -134,14 +133,13 @@ def stream_schedule(bus: BusModel, beat_count: int) -> np.ndarray:
     Beat b becomes available at ceil((b+1)/eta) - 1, the first cycle by
     whose end b+1 beats' worth of transfer credit has accrued; the transfer
     spans ceil(beat_count/eta) cycles with the stalls distributed evenly.
-    The schedule is computed in exact integer arithmetic at
-    ``ETA_RESOLUTION``.  Ideal mode yields cycles 0..beat_count-1.
+    The schedule is computed in exact integer arithmetic from
+    ``bus.eta_units``.  Ideal mode yields cycles 0..beat_count-1.
     """
     if beat_count <= 0:
         raise BusError("beat_count must be positive")
-    num = round(bus.stream_efficiency * ETA_RESOLUTION)
     credits = np.arange(1, beat_count + 1, dtype=np.int64) * ETA_RESOLUTION
-    return -(-credits // num) - 1  # ceil division
+    return -(-credits // bus.eta_units) - 1  # ceil division
 
 
 def demand_schedule(bus: BusModel, beat_count: int, consume_cycles: int,
@@ -160,7 +158,7 @@ def demand_schedule(bus: BusModel, beat_count: int, consume_cycles: int,
         raise BusError("beat_count must be positive")
     if consume_cycles < 1:
         raise BusError("consume_cycles must be >= 1")
-    stalls = StallSequence(bus.burst_overhead_cycles).take(beat_count)
+    stalls = StallSequence(bus.overhead_units).take(beat_count)
     if prefetch:
         steps = np.maximum(consume_cycles, 1 + stalls[1:])
     else:

@@ -10,8 +10,10 @@ maximum error.  The fit builds no engine, no schedule and no table.
 Residuals are always reported, never hidden.
 
 The fit runs on the default 256-bit bus (the clock does not enter an
-efficiency) over the fixed grids ``ETA_GRID`` and ``OVERHEAD_GRID``; the
-targets are its only input.
+efficiency) over the fixed grids ``ETA_GRID`` and ``OVERHEAD_GRID``, which
+step each knob in integer resolution units; a grid point's bus is built
+from those integers, so it simulates exactly them.  The targets are the
+fit's only input.
 
 Anchor configurations: the streaming architectures at 65,536x8 and the
 traditional one at 8,192x64 (its efficiency grows with width, so the widest
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bus import calibrated_bus, update_io_efficiency
+from .bus import (ETA_RESOLUTION, OVERHEAD_RESOLUTION, calibrated_bus,
+                  update_io_efficiency)
 from .engines import cycle_total
 from .geometry import geometry_for
 # The benchmark's tracer (perfbench/tracing.py) wraps this name; the fit
@@ -33,9 +36,10 @@ from .payload import generate_payload  # noqa: F401
 
 S1_ANCHOR = (8192, 64)
 STREAM_ANCHOR = (65536, 8)
-# (low, high, step) of the search grid of each knob.
-ETA_GRID = (0.90, 1.00, 0.001)
-OVERHEAD_GRID = (0.0, 4.0, 0.05)
+# The search grid of each knob, in its resolution units: eta 0.900..1.000
+# in steps of 0.001 and the overhead 0.00..4.00 in steps of 0.05.
+ETA_GRID = range(900, ETA_RESOLUTION + 1)
+OVERHEAD_GRID = range(0, 4 * OVERHEAD_RESOLUTION + 1, 5)
 
 # Defaults obtained by running calibrate() against the built-in targets.
 DEFAULT_TARGETS = {"s1": 0.101, "s2": 0.498, "s3": 0.968}
@@ -100,29 +104,25 @@ def calibrate(targets: dict[str, float] | None = None) -> CalibrationResult:
         g, t = anchors[arch], targets[arch]
         return np.array([abs(_efficiency(g, b) - t) / t for b in buses])
 
-    etas, overheads = _grid(ETA_GRID), _grid(OVERHEAD_GRID)
-    s1 = errors("s1", [calibrated_bus(1.0, oh) for oh in overheads])
-    stream_buses = [calibrated_bus(eta, 0.0) for eta in etas]
+    s1 = errors("s1", [calibrated_bus(1.0, o / OVERHEAD_RESOLUTION)
+                       for o in OVERHEAD_GRID])
+    stream_buses = [calibrated_bus(e / ETA_RESOLUTION, 0.0) for e in ETA_GRID]
     s2, s3 = errors("s2", stream_buses), errors("s3", stream_buses)
     # Minimize the maximum relative error; ties go to the smaller error sum
     # (the max is often pinned by one architecture, leaving the other knob
     # free otherwise), then to the first (eta, overhead) in grid order.
     worst = np.maximum(np.maximum(s2, s3)[:, None], s1[None, :])
-    rows, cols = np.divmod(np.flatnonzero(worst == worst.min()), len(overheads))
+    rows, cols = np.divmod(np.flatnonzero(worst == worst.min()), len(s1))
     best = ((s2[rows] + s3[rows]) + s1[cols]).argmin()  # summed as s2, s3, s1
-    eta, overhead = etas[rows[best]], overheads[cols[best]]
+    e, o = ETA_GRID[rows[best]], OVERHEAD_GRID[cols[best]]
 
-    bus = calibrated_bus(eta, overhead)
+    bus = calibrated_bus(e / ETA_RESOLUTION, o / OVERHEAD_RESOLUTION)
     simulated = {arch: _efficiency(g, bus) for arch, g in anchors.items()}
     residuals = {arch: abs(simulated[arch] - targets[arch]) / targets[arch]
                  for arch in simulated}
     return CalibrationResult(
-        stream_efficiency=eta, burst_overhead_cycles=overhead,
+        stream_efficiency=bus.stream_efficiency,
+        burst_overhead_cycles=bus.burst_overhead_cycles,
         simulated=simulated, targets={a: targets[a] for a in sorted(targets)},
         residuals=residuals, max_residual=max(residuals.values()))
 
-
-def _grid(bounds) -> list[float]:
-    lo, hi, step = bounds
-    count = int(round((hi - lo) / step))
-    return [round(lo + i * step, 10) for i in range(count + 1)]

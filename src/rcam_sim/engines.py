@@ -3,9 +3,9 @@
 The three architectures differ only in *when* things happen, and payload
 values never change that.  :func:`timing` is the only code that turns a
 bus into a trace, and every summary number comes from O(1) closed forms
-of the geometry and the quantised knobs alone: :func:`cycle_total` gives
-the total and ``_spans`` the erase and write spans and the s3 catch-up;
-``stall_cycles`` is the total minus the ideal-bus one.
+of the geometry and the bus's integer knobs alone: :func:`cycle_total`
+gives the total and ``_spans`` the erase and write spans and the s3
+catch-up; ``stall_cycles`` is the total minus ``_cycles`` at the ideal knobs.
 
 ``_schedule`` holds every cycle schedule and runs only to record events:
 from the geometry and the bus it builds the cycle of every bus beat, every
@@ -253,18 +253,23 @@ S1Engine = S2Engine = S3Engine = RcamEngine
 
 def cycle_total(geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
                 prefetch_one_beat: bool = False) -> int:
-    """Cycles of one full-table update on ``bus``, in closed form: exact
-    integer arithmetic at the knob resolutions, eta = e/1000 and overhead =
-    o/100.  Every schedule of :func:`timing` must end there."""
+    """Cycles of one full-table update on ``bus``, in closed form at its
+    integer knobs: every schedule of :func:`timing` must end there."""
     if bus.bus_width_b != geometry.bus_width_b:
         raise EngineError(
             f"bus width {bus.bus_width_b} != geometry bus width "
             f"{geometry.bus_width_b}")
-    g, beats = geometry, geometry.beat_count
+    return _cycles(geometry, bus.eta_units, bus.overhead_units,
+                   prefetch_one_beat)
+
+
+def _cycles(g: CamGeometry, e: int, o: int, prefetch: bool = False) -> int:
+    """:func:`cycle_total` at eta = e/1000 and overhead = o/100, in exact
+    integer arithmetic; the bus width is the geometry's."""
+    beats = g.beat_count
     if g.architecture == "s1":
-        o = round(bus.burst_overhead_cycles * OVERHEAD_RESOLUTION)
         stalls = beats * o // OVERHEAD_RESOLUTION  # floor(beats * overhead)
-        if not prefetch_one_beat:
+        if not prefetch:
             return 2 * g.depth_n + stalls
         # The first stall shows whole, each later one overlaps the c cycles
         # of the beat before; n_hi of those beats - 1 stalls are lo + 1.
@@ -272,7 +277,6 @@ def cycle_total(geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
         n_hi = stalls - beats * lo
         return (lo + c + n_hi * max(c, 2 + lo)
                 + (beats - 1 - n_hi) * max(c, 1 + lo))
-    e = round(bus.stream_efficiency * ETA_RESOLUTION)
     streamed = -(-beats * ETA_RESOLUTION // e)  # ceil(beats / eta)
     if g.architecture == "s2":
         return streamed + beats
@@ -299,7 +303,7 @@ def timing(geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
     knob of ``demand_schedule``."""
     g = geometry
     total = cycle_total(g, bus, prefetch_one_beat)
-    spans, catch_up = _spans(g, bus, total)
+    spans, catch_up = _spans(g, bus.eta_units, bus.overhead_units, total)
     events = None
     if record_events:
         check_traceable(total)
@@ -313,21 +317,19 @@ def timing(geometry: CamGeometry, bus: BusModel = IDEAL_BUS,
         architecture=g.architecture, depth_n=g.depth_n,
         word_width_w=g.word_width_w, total_cycles=total,
         bus_read_cycles=g.beat_count,
-        stall_cycles=total - cycle_total(g, ideal_bus(g.bus_width_b)),
+        stall_cycles=total - _cycles(g, ETA_RESOLUTION, 0),
         erase_span=spans[0], write_span=spans[1], catch_up_cycles=catch_up,
         events=events)
 
 
-def _spans(g: CamGeometry, bus: BusModel, total: int):
+def _spans(g: CamGeometry, e: int, o: int, total: int):
     """The (erase span, write span) and the s3 catch-up of an update of
     ``total`` cycles, in closed form at eta = e/1000 and overhead = o/100,
     with c(x) = ceil(1000x/e) the cycles until x beats have streamed."""
     if g.architecture == "s1":
         # Word 0 waits stall 0, floor(o/100); the last write ends the update.
-        first = (round(bus.burst_overhead_cycles * OVERHEAD_RESOLUTION)
-                 // OVERHEAD_RESOLUTION)
+        first = o // OVERHEAD_RESOLUTION
         return ((first, total - 2), (first + 1, total - 1)), None
-    e = round(bus.stream_efficiency * ETA_RESOLUTION)
     if g.architecture == "s2":  # the total is c(B) + B
         last = total - g.beat_count - 1
         return ((-(-ETA_RESOLUTION // e) - 1, last), (last + 1, total - 1)), None

@@ -1,16 +1,17 @@
-"""Reads and writes of CAM state, reads of trace events and a schedule
-refusal, that only the tests need.
+"""Reads and writes of CAM state, reads of trace events, a schedule
+refusal and a bus-build count, that only the tests need.
 
 Each read and write works on public attributes alone: the RCU cells and
 ``search_batch`` of an ``RcamArray``, the ``cam`` of an ``RcamEngine``, the
 word table of a ``ReferenceCam`` and the columns of an ``EventColumns``.
-The refusal patches the schedule builders of ``engines`` and ``bus``.
+The refusal patches the schedule builders of ``engines`` and ``bus``, and
+the count wraps ``BusModel.__post_init__``.
 """
 
 import numpy as np
 
 from rcam_sim import engines
-from rcam_sim.bus import StallSequence
+from rcam_sim.bus import BusModel, StallSequence
 from rcam_sim.geometry import RCU_SLOTS, GeometryError
 
 
@@ -23,6 +24,19 @@ def refuse_schedules(monkeypatch, *names):
     for name in ("_schedule", "stream_schedule", *names):
         monkeypatch.setattr(engines, name, refuse)
     monkeypatch.setattr(StallSequence, "take", refuse)
+
+
+def count_bus_builds(monkeypatch) -> list:
+    """Count every ``BusModel`` built from now on, each of which quantises
+    its knobs: the returned list gains one entry per build."""
+    builds, post_init = [], BusModel.__post_init__
+
+    def counted(bus):
+        builds.append(bus)
+        post_init(bus)
+
+    monkeypatch.setattr(BusModel, "__post_init__", counted)
+    return builds
 
 
 def column_occupancy(cam) -> np.ndarray:

@@ -48,14 +48,37 @@ def test_clock_is_positive_and_finite(clock):
 def test_knobs_are_quantised_to_what_is_simulated():
     bus = calibrated_bus(0.9765, 1.905)
     # round(x * resolution): 976.5 -> 976, 190.49999... -> 190
+    assert (bus.eta_units, bus.overhead_units) == (976, 190)
     assert bus.stream_efficiency == 0.976
     assert bus.burst_overhead_cycles == 1.9
     assert bus.describe()["burst_overhead_cycles"] == 1.9
     assert np.array_equal(stream_schedule(bus, 500),
                           stream_schedule(calibrated_bus(0.976, 0), 500))
-    assert np.array_equal(StallSequence(1.905).take(100),
-                          StallSequence(bus.burst_overhead_cycles).take(100))
+    assert np.array_equal(StallSequence(190).take(100),
+                          StallSequence(bus.overhead_units).take(100))
     assert calibrated_bus(0.976, 1.9).describe()["stream_efficiency"] == 0.976
+
+
+@given(st.floats(0.0, 1.0, exclude_min=True),
+       st.floats(0.0, MAX_BURST_OVERHEAD))
+@example(0.0005, 0.005)  # both halves round to even: 0 and 0
+@example(0.9765, 1.905)
+@settings(max_examples=300)
+def test_the_bus_quantises_each_knob_once(eta, overhead):
+    # the integers are round(x * R), and the printed floats round(x * R) / R
+    e = round(eta * ETA_RESOLUTION)
+    o = round(overhead * OVERHEAD_RESOLUTION)
+    if e == 0:
+        with pytest.raises(BusError, match="rounds to 0"):
+            calibrated_bus(eta, overhead)
+        return
+    bus = calibrated_bus(eta, overhead)
+    assert (bus.eta_units, bus.overhead_units) == (e, o)
+    assert bus.stream_efficiency == e / ETA_RESOLUTION
+    assert bus.burst_overhead_cycles == o / OVERHEAD_RESOLUTION
+    # a bus built from the printed floats simulates the same integers
+    again = calibrated_bus(bus.stream_efficiency, bus.burst_overhead_cycles)
+    assert (again.eta_units, again.overhead_units) == (e, o)
 
 
 def test_eta_that_rounds_to_zero_is_rejected():
@@ -147,7 +170,7 @@ def test_discrete_seeded_property():
         consume = int(rng.integers(1, 12))
         count = int(rng.integers(1, 300))
         bus = calibrated_bus(1.0, overhead)
-        stalls = StallSequence(overhead).take(count)
+        stalls = StallSequence(bus.overhead_units).take(count)
         plain = demand_schedule(bus, count, consume)
         assert plain[0] == stalls[0]
         assert np.array_equal(np.diff(plain), consume + stalls[1:])
@@ -168,18 +191,18 @@ def test_stall_sequence_matches_an_accumulator():
 
     rng = np.random.default_rng(7)
     for _ in range(200):
-        mean = round(float(rng.uniform(0, 12)), 2)
+        num = round(round(float(rng.uniform(0, 12)), 2) * OVERHEAD_RESOLUTION)
         count = int(rng.integers(0, 400))
-        assert StallSequence(mean).take(count).tolist() == accumulated(
-            round(mean * OVERHEAD_RESOLUTION), count)
+        assert StallSequence(num).take(count).tolist() == accumulated(
+            num, count)
 
 
 def test_stall_sequence_mean():
-    seq = StallSequence(1.9)
+    seq = StallSequence(190)  # 1.9 cycles
     stalls = seq.take(1000)
     assert set(np.unique(stalls).tolist()) == {1, 2}
     assert stalls.sum() == 1900
-    assert StallSequence(0.0).take(10).sum() == 0
+    assert StallSequence(0).take(10).sum() == 0
 
 
 def test_throughput_and_efficiency_formulas():

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rcam_sim import calibration
-from rcam_sim.bus import calibrated_bus, update_io_efficiency
+from rcam_sim.bus import (ETA_RESOLUTION, OVERHEAD_RESOLUTION,
+                          calibrated_bus, update_io_efficiency)
 from rcam_sim.calibration import (DEFAULT_CALIBRATED_ETA,
                                   DEFAULT_CALIBRATED_OVERHEAD, DEFAULT_TARGETS,
                                   ETA_GRID, OVERHEAD_GRID, S1_ANCHOR,
@@ -17,7 +18,7 @@ from rcam_sim.erase_store import EraseStore
 from rcam_sim.geometry import geometry_for
 from rcam_sim.rcu import RcamArray
 
-from cam_helpers import refuse_schedules
+from cam_helpers import count_bus_builds, refuse_schedules
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +82,31 @@ def test_fit_builds_no_schedule(monkeypatch):
     assert _file_sha(calibrate()) == DEFAULT_FIT_SHA
 
 
+def test_the_fit_simulates_only_grid_points(monkeypatch):
+    # one bus per grid point, simulating that point's integers, then the
+    # fitted bus, whose knobs the result prints
+    builds = count_bus_builds(monkeypatch)
+    fit = calibrate()
+    grid = ([(ETA_RESOLUTION, o) for o in OVERHEAD_GRID]
+            + [(e, 0) for e in ETA_GRID])
+    assert sorted((b.eta_units, b.overhead_units) for b in builds[:-1]) \
+        == sorted(grid)
+    assert (builds[-1].stream_efficiency, builds[-1].burst_overhead_cycles) \
+        == (fit.stream_efficiency, fit.burst_overhead_cycles)
+
+
+def test_the_grids_are_the_float_grids_they_replace():
+    # every integer grid point prints as the double that stepping the
+    # knob's (low, high, step) in floats, rounded to 10 places, gives, so
+    # fits and calibration files keep their bytes
+    def stepped(lo, step, count):
+        return [round(lo + i * step, 10) for i in range(count)]
+
+    assert [e / ETA_RESOLUTION for e in ETA_GRID] == stepped(0.90, 0.001, 101)
+    assert [o / OVERHEAD_RESOLUTION for o in OVERHEAD_GRID] == stepped(
+        0.0, 0.05, 81)
+
+
 def test_perfect_targets_fit_ideal_knobs():
     result = calibrate({"s1": 1.0, "s2": 1.0, "s3": 1.0})
     assert result.stream_efficiency == 1.0
@@ -116,15 +142,10 @@ def _simulated_efficiency(arch: str, bus) -> float:
                                 timing(geometry, bus).total_cycles, bus)
 
 
-def _grid(bounds) -> list[float]:
-    lo, hi, step = bounds
-    count = int(round((hi - lo) / step))
-    return [round(lo + i * step, 10) for i in range(count + 1)]
-
-
 def _loop_fit(targets: dict[str, float]) -> CalibrationResult:
-    etas = _grid(ETA_GRID)
-    overheads = _grid(OVERHEAD_GRID)
+    # through the float API: one bus per grid point, as a user would build it
+    etas = [e / ETA_RESOLUTION for e in ETA_GRID]
+    overheads = [o / OVERHEAD_RESOLUTION for o in OVERHEAD_GRID]
     s1_errs = {}
     for oh in overheads:
         sim = _simulated_efficiency("s1", calibrated_bus(1.0, oh))

@@ -17,7 +17,8 @@ from rcam_sim.payload import generate_payload
 from rcam_sim.rcu import RcamArray
 
 from cam_helpers import (apply_words, before_write_pass, column_occupancy,
-                         event_tuples, poke_word, refuse_schedules, search)
+                         count_bus_builds, event_tuples, poke_word,
+                         refuse_schedules, search)
 
 GRID = [(1024, 8), (1024, 64), (2048, 16), (4096, 8), (4096, 32), (8192, 64)]
 
@@ -182,6 +183,18 @@ def test_timing_refuses_a_schedule_off_the_closed_form(monkeypatch):
         for arch in ARCHITECTURES:
             with pytest.raises(EngineError, match="closed form"):
                 timing(geometry_for(arch, 2048, 16), record_events=True)
+
+
+@pytest.mark.parametrize("record_events", [False, True])
+def test_timing_builds_no_bus(record_events, monkeypatch):
+    # the closed forms and the schedules read the bus's integers, and the
+    # ideal total behind stall_cycles takes the ideal integers, not a bus
+    geometries = [geometry_for(a, 2048, 16) for a in ARCHITECTURES]
+    builds = count_bus_builds(monkeypatch)
+    for g in geometries:
+        for prefetch in (False, True) if g.architecture == "s1" else (False,):
+            timing(g, FLAGSHIP_BUS, prefetch, record_events)
+    assert builds == []
 
 
 # -- functional correctness ---------------------------------------------------

@@ -173,3 +173,11 @@ def test_the_flagship_op_keeps_its_heap_placement(monkeypatch, tmp_path):
         _, stdout, _ = script._child(tree, [
             "-c", script._FLAGSHIP_LOOP, "65536", "1", "5"])
         assert json.loads(stdout)["minflt"] < 2000, tree
+
+
+def test_every_library_function_has_an_entry_point():
+    # a function that only tests reach must be named, with its reason, in
+    # the script's allow-list; a listed one that is reached must leave it
+    result = subprocess.run([sys.executable, str(SCRIPTS / "reachability.py")],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
